@@ -5,11 +5,8 @@
 // simulated bandwidth.
 #include <benchmark/benchmark.h>
 
-#include <sstream>
 
-#include "core/scsq.hpp"
 #include "funcs/fft.hpp"
-#include "hw/lp_workload.hpp"
 #include "net/topology.hpp"
 #include "plan/builder.hpp"
 #include "plan/operators.hpp"
@@ -500,82 +497,6 @@ void BM_ChannelPingPong(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 5'000);
 }
 BENCHMARK(BM_ChannelPingPong);
-
-// Conservative parallel runtime: the fig15-shaped inbound workload of
-// hw/lp_workload.hpp on a rack-scale machine (512 compute nodes, 64
-// psets, 16 back-ends), swept over the LP count. Workers = one per LP
-// (the host decides how many actually run in parallel); items/s counts
-// kernel events across all LPs. The checksum is asserted against the
-// 1-LP run — the bench doubles as a determinism canary.
-void BM_ParallelSim(benchmark::State& state) {
-  const int lps = static_cast<int>(state.range(0));
-  const auto cost = scsq::hw::CostModel::bluegene_rack();
-  scsq::hw::LpWorkloadOptions options;
-  options.messages_per_backend = 128;
-  options.work_per_event = 32;
-  static const std::uint64_t reference =
-      scsq::hw::run_lp_workload(cost, 1, 1, options).checksum;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    auto result = scsq::hw::run_lp_workload(cost, lps, 0, options);
-    if (result.checksum != reference) {
-      state.SkipWithError("LP-count determinism violation");
-      return;
-    }
-    events += result.events;
-    benchmark::DoNotOptimize(result.checksum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-// UseRealTime: the LP workers run on their own threads, which the
-// benchmark's per-thread CPU clock does not see — wall time is the only
-// honest throughput denominator for lps > 1.
-BENCHMARK(BM_ParallelSim)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-// Whole-engine parallel drive: a multi-pset TCP pipeline (producer on
-// the back-end, consumer in pset 1 at bg8, extract back to the client
-// — no cross-pset MPI, so the windowed runtime engages with RPs on two
-// LPs) through the full SCSQL stack at the swept LP count. Every
-// iteration's report is asserted bit-identical to the 1-LP reference:
-// the determinism gate that makes any speedup claim meaningful.
-// items/s counts kernel events summed over the LP Simulators.
-void BM_EngineParallel(benchmark::State& state) {
-  const int lps = static_cast<int>(state.range(0));
-  const char* query =
-      "select extract(b) from sp a, sp b"
-      " where b=sp(streamof(count(extract(a))),'bg',8)"
-      " and a=sp(gen_array(200000,24),'be',1);";
-  struct Run {
-    std::string fp;
-    std::uint64_t events;
-    int effective;
-  };
-  const auto run_once = [query](int k) {
-    scsq::ScsqConfig cfg;
-    cfg.exec.sim_lps = k;  // explicit config beats SCSQ_SIM_LPS
-    scsq::Scsq scsq(cfg);
-    const auto r = scsq.run(query);
-    std::ostringstream os;
-    os << std::hexfloat << r.elapsed_s << "/" << r.setup_s << "/" << r.stream_bytes;
-    return Run{os.str(), scsq.machine().perf_total().events_dispatched,
-               r.sim_lps_effective};
-  };
-  static const std::string reference = run_once(1).fp;
-  std::uint64_t events = 0;
-  int effective = 1;
-  for (auto _ : state) {
-    const Run run = run_once(lps);
-    if (run.fp != reference) {
-      state.SkipWithError("LP-count determinism violation in engine drive");
-      return;
-    }
-    events += run.events;
-    effective = run.effective;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["effective_lps"] = static_cast<double>(effective);
-}
-BENCHMARK(BM_EngineParallel)->Arg(1)->Arg(4)->UseRealTime();
 
 }  // namespace
 

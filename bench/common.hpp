@@ -44,20 +44,6 @@ bool quick_mode();
 /// Sweep worker threads: SCSQ_BENCH_THREADS or hardware_concurrency.
 unsigned bench_threads();
 
-/// Requested logical-process count for parallel-runtime benches:
-/// SCSQ_SIM_LPS if set to a positive integer, else 1. Composable with
-/// SCSQ_BENCH_THREADS: sweeps fan points over bench_threads() while each
-/// point may run its simulation on plp_workers(sim_lps()) LP workers.
-int sim_lps();
-
-/// LP worker threads for a conservative-runtime run with `lps` logical
-/// processes. Normally min(lps, hardware); when bench_threads() * lps
-/// would oversubscribe hardware_concurrency(), the LP workers (never the
-/// LP count — that is semantic) are capped to hardware_concurrency() /
-/// bench_threads() and one [harness] warning is logged to stderr.
-/// Results are unaffected: worker count is a performance knob only.
-unsigned plp_workers(int lps);
-
 /// Number of arrays per producer such that one producer's stream is at
 /// most ~200k messages at this buffer size (full size when possible).
 int arrays_for_buffer(std::uint64_t buffer_bytes);

@@ -19,7 +19,6 @@
 
 #include "exec/engine.hpp"
 #include "hw/machine.hpp"
-#include "sim/lp_domain.hpp"
 #include "sim/simulator.hpp"
 
 namespace scsq {
@@ -29,19 +28,12 @@ struct ScsqConfig {
   hw::CostModel cost = hw::CostModel::lofar();
   /// Execution options (stream buffer size, single/double buffering...).
   exec::ExecOptions exec;
-  /// Lay the machine out on one LP regardless of SCSQ_SIM_LPS. Set this
-  /// when attaching a TraceWriter (traces interleave events from every
-  /// Simulator and need a single timeline; Machine::set_trace enforces
-  /// it). Results and simulated timing are unaffected — the LP count is
-  /// byte-invisible by design.
-  bool force_single_lp = false;
 };
 
 class Scsq {
  public:
   explicit Scsq(ScsqConfig config = {})
-      : domain_(resolve_lps(config)), machine_(domain_, config.cost),
-        engine_(machine_, config.exec) {}
+      : machine_(sim_, config.cost), engine_(machine_, config.exec) {}
 
   /// Parses and runs an SCSQL script; returns the last query's report.
   /// Throws scsql::Error on syntax/semantic/execution errors.
@@ -52,33 +44,15 @@ class Scsq {
     engine_.register_stream_source(std::move(name), std::move(arrays));
   }
 
-  sim::Simulator& sim() { return domain_.sim(0); }
-  sim::LpDomain& domain() { return domain_; }
+  sim::Simulator& sim() { return sim_; }
   hw::Machine& machine() { return machine_; }
   exec::Engine& engine() { return engine_; }
 
  private:
-  /// LP count for the domain: SCSQ_SIM_LPS (else the configured
-  /// exec.sim_lps), clamped to the machine's pset count — with two
-  /// features forcing a 1-LP (sequential, seed-identical) layout because
-  /// they touch machine-wide state mid-drive: max_results (the client
-  /// closes every inbox the moment enough results arrived) and the
-  /// telemetry sampler (registry-wide reads on a simulated cadence).
-  /// Byte-identity across LP counts means this fallback never changes a
-  /// query's results or timing, only how many cores drive it.
-  static int resolve_lps(const ScsqConfig& config) {
-    if (config.force_single_lp || config.exec.max_results > 0 ||
-        exec::Engine::resolve_sample_interval_env(config.exec.sample_interval_s) > 0.0) {
-      return 1;
-    }
-    return hw::clamp_lp_count(config.cost,
-                              exec::Engine::resolve_sim_lps_env(config.exec.sim_lps));
-  }
-
   // Declaration order doubles as teardown order: the engine (RPs,
-  // drivers) goes first, then the machine (resources), then the domain
-  // (its Simulators hold surviving coroutine frames).
-  sim::LpDomain domain_;
+  // drivers) goes first, then the machine (resources), then the
+  // Simulator (it holds surviving coroutine frames).
+  sim::Simulator sim_;
   hw::Machine machine_;
   exec::Engine engine_;
 };

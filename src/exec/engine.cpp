@@ -34,19 +34,6 @@ std::size_t resolve_batch_size(std::size_t configured) {
   return kDefaultBatchSize;
 }
 
-/// sim_lps == 0 means "resolve from the environment": SCSQ_SIM_LPS if
-/// set to a positive integer, otherwise 1 (the sequential fast path).
-/// Same write-back convention as resolve_batch_size.
-int resolve_sim_lps(int configured) {
-  if (configured > 0) return configured;
-  if (const char* env = std::getenv("SCSQ_SIM_LPS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) return static_cast<int>(v);
-  }
-  return 1;
-}
-
 /// sample_interval_s < 0 means "resolve from the environment":
 /// SCSQ_SAMPLE_INTERVAL if set to a positive number of simulated
 /// seconds, otherwise 0 (sampling off). Same write-back convention as
@@ -73,36 +60,10 @@ double resolve_sample_interval(double configured) {
 
 }  // namespace
 
-int Engine::resolve_sim_lps_env(int configured) { return resolve_sim_lps(configured); }
-
-double Engine::resolve_sample_interval_env(double configured) {
-  return resolve_sample_interval(configured);
-}
-
 Engine::Engine(hw::Machine& machine, ExecOptions options)
     : machine_(&machine), options_(std::move(options)) {
   options_.batch_size = resolve_batch_size(options_.batch_size);
   options_.sample_interval_s = resolve_sample_interval(options_.sample_interval_s);
-  // partition_ is the *requested* affinity labeling (SCSQ_SIM_LPS clamped
-  // to the pset count) used for rp.lp labels, monitor LP rows and the
-  // requested gauge. The machine's own layout — machine_->lp_of/sim_of —
-  // governs where RPs actually execute; core::Scsq collapses it to one
-  // LP for features that need the sequential drive, without changing the
-  // labels here.
-  options_.sim_lps = resolve_sim_lps(options_.sim_lps);
-  partition_ = machine_->partition(options_.sim_lps);
-  if (machine_->parallel_drive() &&
-      (options_.max_results > 0 || options_.sample_interval_s > 0.0)) {
-    // Both features need the whole data plane on one Simulator:
-    // max_results stops mid-stream from the client (closing inboxes on
-    // every LP), and the sampler ticks the machine-wide registry.
-    // core::Scsq collapses the domain to one LP for them; reaching this
-    // point means the machine was assembled by hand — refuse rather
-    // than race.
-    throw Error(
-        "max_results and SCSQ_SAMPLE_INTERVAL require a single-LP machine "
-        "(build the LpDomain with lp_count 1, or unset SCSQ_SIM_LPS)");
-  }
   set_sample_interval(options_.sample_interval_s);
   auto& sim = machine_->sim();
   fe_cc_ = std::make_unique<ClusterCoordinator>(sim, hw::kFrontEnd,
@@ -173,7 +134,7 @@ transport::DriverParams Engine::driver_params_for(const hw::Location& loc) const
   const auto& node = machine_->node_params(loc);
   p.marshal_per_byte_s = node.marshal_per_byte_s;
   p.alloc_per_object_s = node.alloc_per_object_s;
-  p.frame_pool = &machine_->pool_of(loc);
+  p.frame_pool = &machine_->frame_pool();
   if (loc.cluster == hw::kBlueGene) {
     // BlueGene compute CPUs see cache-miss growth for large buffers
     // (the Fig. 6 decline right of the peak).
@@ -214,84 +175,21 @@ RunReport Engine::run_statement(const scsql::Statement& statement) {
   for (auto& m : monitors_) m.alerts_last_run = 0;
 
   auto& sim = machine_->sim();
-  sim::LpDomain* domain = machine_->domain();
-  // The two-phase drive only engages when more than one LP could run:
-  // a 1-LP domain takes the seed single-Simulator path, so its event
-  // order (and in particular the sampler's tick interleaving) is
-  // byte-identical to a domain-less machine.
-  const bool phased = machine_->parallel_drive();
   const double t0 = sim.now();
   // Arm the telemetry sampler before the first event. Ticks are
   // zero-duration read-only callbacks, so the statement's observable
   // timing is identical with sampling on or off (DESIGN.md §5.7).
   sampler_->begin(t0, machine_->trace());
-  phase_ready_ = false;
-  effective_lps_ = 1;
-  sequenced_drive_ = false;
-  if (phased) phase_gate_ = std::make_unique<sim::Event>(sim);
   sim.spawn(execute(statement.query, &report));
   const double limit =
       options_.max_sim_time_s > 0 ? t0 + options_.max_sim_time_s : sim::Simulator::kNoLimit;
-  // Phase A: parse/bind/wire runs entirely on LP0. On a parallel machine
-  // execute() parks on phase_gate_ once wiring is done, so this run()
-  // quiesces with the data plane built but not started.
   sim.run(limit);
-  if (phase_ready_) {
-    // Phase B: start every non-client RP on its own LP's Simulator, then
-    // release execute() (which runs the client manager on LP0) and drive
-    // the whole domain. Scheduling happens here — single-threaded, all
-    // LPs quiescent — because call_at into a *running* remote Simulator
-    // would race.
-    // A cross-pset MPI stream collapses the drive to the sequenced
-    // multiplexer (effective 1 — the gauge reports realized parallelism,
-    // not shard count). begin_sequenced() must precede the RP-start
-    // scheduling below so those call_at events draw their seqs from the
-    // shared counter in rps_ order — the k == 1 relative order.
-    effective_lps_ = sequenced_drive_ ? 1 : count_effective_lps();
-    if (sequenced_drive_) domain->begin_sequenced();
-    const double t_wire = sim.now();
-    for (auto& rp : rps_) {
-      if (rp->is_client) continue;
-      Rp* p = rp.get();
-      auto& s = machine_->sim_of(p->loc);
-      s.call_at(std::max(t_wire, s.now()), [this, p, &s] { s.spawn(run_rp(*p)); });
-    }
-    phase_gate_->set();
-  }
-  const auto drive = [&](double l) {
-    if (sequenced_drive_) {
-      domain->run_sequenced(l);
-    } else if (phased && effective_lps_ > 1) {
-      domain->run_windowed(l);
-    } else {
-      sim.run(l);
-    }
-  };
-  const auto live_roots = [&]() -> std::size_t {
-    if (domain == nullptr) return sim.live_root_tasks();
-    std::size_t n = 0;
-    for (int lp = 0; lp < domain->lp_count(); ++lp) n += domain->sim(lp).live_root_tasks();
-    return n;
-  };
-  drive(limit);
-  if (live_roots() > 0 && !error_) {
+  if (sim.live_root_tasks() > 0 && !error_) {
     // "Explicit user intervention": the simulated-time limit fired while
     // the CQ was still running. Stop it and let the teardown drain.
-    // initiate_stop runs here on the main thread with every LP quiescent,
-    // so touching the LP0-owned client manager is race-free.
     initiate_stop();
     report.stopped = true;
-    drive(limit + std::max(1.0, 0.5 * options_.max_sim_time_s));
-  }
-  if (phased) {
-    // Deferred transport metrics: split links buffered registry updates
-    // during the parallel drive; publish them now at quiescence.
-    for (const auto& rp : rps_) {
-      for (const auto& tx : rp->senders) tx->link().publish_deferred();
-    }
-    if (sequenced_drive_) domain->end_sequenced();
-    machine_->thaw_fabric_factors();
-    phase_gate_.reset();
+    sim.run(limit + std::max(1.0, 0.5 * options_.max_sim_time_s));
   }
   // Normally a no-op (execute() finished the sampler before its last
   // event); on error/limit paths this cancels the parked tick and drops
@@ -313,7 +211,7 @@ RunReport Engine::run_statement(const scsql::Statement& statement) {
 
   if (error_) std::rethrow_exception(error_);
   if (monitor_error_) std::rethrow_exception(monitor_error_);
-  if (live_roots() > 0) {
+  if (sim.live_root_tasks() > 0) {
     throw Error("query did not complete (deadlock or simulated-time limit exceeded)");
   }
 
@@ -349,7 +247,6 @@ RunReport Engine::run_statement(const scsql::Statement& statement) {
       s.batches = rp->root->batch_counters().batches;
       s.batch_items = rp->root->batch_counters().items;
     }
-    s.lp = partition_.lp_of(rp->loc);
     publish_rp_metrics(s);
     report.rps.push_back(std::move(s));
   }
@@ -358,18 +255,6 @@ RunReport Engine::run_statement(const scsql::Statement& statement) {
   machine_->metrics().gauge("engine.setup_s").set(report.setup_s);
   machine_->metrics().gauge("engine.elapsed_s").set(report.elapsed_s);
   machine_->metrics().gauge("engine.rp_count").set(static_cast<double>(report.rp_count));
-  // LP partition affinity: requested = SCSQ_SIM_LPS (after clamping to
-  // the pset count), effective = how many LPs actually hosted RPs this
-  // statement. effective > 1 means the drive ran through
-  // LpDomain::run_windowed with conservative link-latency lookahead;
-  // effective == 1 collapses to the sequential kernel. Either way the
-  // output is byte-identical at every LP count (DESIGN.md §5.9).
-  report.sim_lps_requested = partition_.lp_count;
-  report.sim_lps_effective = effective_lps_;
-  machine_->metrics().gauge("engine.sim_lps.requested")
-      .set(static_cast<double>(partition_.lp_count));
-  machine_->metrics().gauge("engine.sim_lps.effective")
-      .set(static_cast<double>(effective_lps_));
   return report;
 }
 
@@ -390,7 +275,6 @@ void Engine::publish_rp_metrics(const RpStat& s) {
       .set(s.batches == 0 ? 0.0
                           : static_cast<double>(s.batch_items) /
                                 static_cast<double>(s.batches));
-  registry.gauge("engine.rp.lp", labels).set(static_cast<double>(s.lp));
 }
 
 obs::Profile Engine::profile(const RunReport& report) const {
@@ -508,29 +392,11 @@ void Engine::add_window_listener(
   window_listeners_.push_back(std::move(fn));
 }
 
-std::vector<sim::plp::LpLiveSample> Engine::lp_samples(double t_end) const {
-  if (lp_live_source_) return lp_live_source_();
-  // Deterministic default: one row per partition LP. The engine's data
-  // plane executes sequentially (DESIGN.md §5.6), so there is no live
-  // plp::Runtime to sample — the row carries the partition shape and the
-  // window frontier, with the wall-clock-dependent fields at zero.
-  std::vector<sim::plp::LpLiveSample> out;
-  out.reserve(static_cast<std::size_t>(partition_.lp_count));
-  for (int lp = 0; lp < partition_.lp_count; ++lp) {
-    sim::plp::LpLiveSample s;
-    s.lp = lp;
-    s.horizon_s = t_end;
-    out.push_back(s);
-  }
-  return out;
-}
-
 void Engine::on_window(const obs::Sampler::Window& window, std::size_t index) {
   if (!monitors_.empty()) {
     plan::IntrospectFeed feed;
     feed.window = &window;
     feed.window_index = index;
-    feed.lps = lp_samples(window.t_end);
     for (auto& m : monitors_) {
       try {
         run_monitor(m, feed, /*dry_run=*/false);
@@ -683,23 +549,8 @@ sim::Task<void> Engine::execute(ExprPtr query, RunReport* report) {
       trace->interval("engine", "wire", bind_done, sim.now());
     }
 
-    if (machine_->parallel_drive()) {
-      // Two-phase drive: snapshot the fabric factors (§5.9 coupling #2)
-      // and park on the gate. run_statement sees quiescence, schedules
-      // every non-client RP on its home LP, and releases the gate before
-      // starting the (possibly parallel) drive. Single-LP machines keep
-      // the seed single-Simulator path below. The sequenced fallback
-      // keeps *live* factors: its dispatch order is bit-identical to a
-      // 1-LP run (single-threaded), so live recomputation reads exactly
-      // the flow state a 1-LP run would read — freezing here would
-      // *break* byte-identity for workloads whose factors move mid-run.
-      if (!sequenced_drive_) machine_->freeze_fabric_factors();
-      phase_ready_ = true;
-      co_await phase_gate_->wait();
-    } else {
-      for (auto& rp : rps_) {
-        if (rp->id != cm.id) sim.spawn(run_rp(*rp));
-      }
+    for (auto& rp : rps_) {
+      if (rp->id != cm.id) sim.spawn(run_rp(*rp));
     }
     co_await run_rp(cm);
     co_await cm.done->wait();
@@ -713,7 +564,7 @@ sim::Task<void> Engine::execute(ExprPtr query, RunReport* report) {
       trace->interval("engine", "run", report->setup_s + t0, sim.now());
     }
   } catch (...) {
-    record_error(std::current_exception());
+    if (!error_) error_ = std::current_exception();
   }
 }
 
@@ -965,9 +816,7 @@ Engine::Rp& Engine::make_rp(hw::Location loc, ExprPtr query, Env env, bool is_cl
   rp->query = std::move(query);
   rp->env = std::move(env);
   rp->is_client = is_client;
-  // done lives on the RP's home Simulator so setting it from run_rp never
-  // crosses an LP boundary (only the client's done is ever awaited).
-  rp->done = std::make_unique<sim::Event>(machine_->sim_of(rp->loc));
+  rp->done = std::make_unique<sim::Event>(machine_->sim());
   rps_.push_back(std::move(rp));
   return *rps_.back();
 }
@@ -980,7 +829,7 @@ Engine::Rp& Engine::find_rp(std::uint64_t id) {
 }
 
 void Engine::wire_rp(Rp& rp) {
-  rp.ctx.sim = &machine_->sim_of(rp.loc);
+  rp.ctx.sim = &machine_->sim();
   rp.ctx.loc = rp.loc;
   rp.ctx.cpu = &machine_->cpu_of(rp.loc);
   rp.ctx.node = machine_->node_params(rp.loc);
@@ -1003,18 +852,8 @@ void Engine::wire_rp(Rp& rp) {
 
 transport::ReceiverDriver& Engine::connect(const SpHandle& producer_handle, Rp& consumer) {
   Rp& producer = find_rp(producer_handle.id);
-  if (machine_->parallel_drive() && producer.loc.cluster == hw::kBlueGene &&
-      consumer.loc.cluster == hw::kBlueGene && !(producer.loc == consumer.loc) &&
-      machine_->bg().pset_of(producer.loc.node) != machine_->bg().pset_of(consumer.loc.node)) {
-    // The torus MpiLink shares per-hop state between endpoints with zero
-    // lookahead, so a cross-pset (= cross-LP) MPI stream cannot run under
-    // the conservative windowed drive. Fall back to the sequenced
-    // multiplexer: one global event order across the shards, byte-
-    // identical to SCSQ_SIM_LPS=1 at the cost of parallelism.
-    sequenced_drive_ = true;
-  }
   consumer.receivers.push_back(std::make_unique<transport::ReceiverDriver>(
-      machine_->sim_of(consumer.loc), driver_params_for(consumer.loc),
+      machine_->sim(), driver_params_for(consumer.loc),
       machine_->cpu_of(consumer.loc)));
   auto& rx = *consumer.receivers.back();
   auto link = transport::make_link(*machine_, producer.loc, consumer.loc, rx.inbox(),
@@ -1038,14 +877,14 @@ transport::ReceiverDriver& Engine::connect(const SpHandle& producer_handle, Rp& 
         &link->stats().latency);
   }
   producer.senders.push_back(std::make_unique<transport::SenderDriver>(
-      machine_->sim_of(producer.loc), driver_params_for(producer.loc),
+      machine_->sim(), driver_params_for(producer.loc),
       machine_->cpu_of(producer.loc), std::move(link), producer.id));
   producer.consumer_ids.push_back(consumer.id);
   return rx;
 }
 
 sim::Task<void> Engine::run_rp(Rp& rp) {
-  auto& rpsim = machine_->sim_of(rp.loc);
+  auto& rpsim = machine_->sim();
   auto* trace = machine_->trace();
   const std::string track = "rp" + std::to_string(rp.id);
   if (trace) trace->instant(track, "start", rpsim.now());
@@ -1112,7 +951,7 @@ sim::Task<void> Engine::run_rp(Rp& rp) {
     }
     for (auto& s : rp.senders) co_await s->finish();
   } catch (...) {
-    record_error(std::current_exception());
+    if (!error_) error_ = std::current_exception();
   }
   if (trace) {
     trace->counter(track, "elements_out", rpsim.now(),
@@ -1133,30 +972,6 @@ void Engine::initiate_stop() {
   for (auto& rp : rps_) {
     for (auto& rx : rp->receivers) rx->inbox().close();
   }
-}
-
-int Engine::count_effective_lps() const {
-  // How many distinct LPs of the *machine's* layout host at least one RP
-  // of this statement (partition_ is only the requested labeling). The
-  // client manager counts too (it pulls the result stream on LP0).
-  const int machine_lps = machine_->lp_partition().lp_count;
-  std::vector<bool> seen(static_cast<std::size_t>(std::max(1, machine_lps)), false);
-  int n = 0;
-  for (const auto& rp : rps_) {
-    const auto lp = static_cast<std::size_t>(machine_->lp_of(rp->loc));
-    if (!seen[lp]) {
-      seen[lp] = true;
-      ++n;
-    }
-  }
-  return std::max(1, n);
-}
-
-void Engine::record_error(std::exception_ptr e) {
-  // run_rp coroutines on different LPs can fail inside the same drive
-  // window; first-in wins under the lock, the rest are dropped.
-  std::lock_guard<std::mutex> lock(error_mu_);
-  if (!error_) error_ = std::move(e);
 }
 
 }  // namespace scsq::exec

@@ -11,7 +11,6 @@
 // selection.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "net/topology.hpp"
 #include "net/torus_net.hpp"
 #include "net/tree_net.hpp"
-#include "sim/lp_domain.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "transport/frame.hpp"
@@ -32,13 +30,10 @@
 namespace scsq::hw {
 
 /// A Linux cluster: N dual-CPU hosts on the Ethernet fabric.
-/// `node_sim` (optional) places each node's CPU and NIC resources on its
-/// owning LP Simulator; empty keeps everything on `sim`.
 class LinuxCluster {
  public:
   LinuxCluster(sim::Simulator& sim, net::EthernetFabric& fabric, std::string name,
-               int node_count, const NodeParams& params,
-               std::function<sim::Simulator&(int)> node_sim = {});
+               int node_count, const NodeParams& params);
 
   int node_count() const { return static_cast<int>(cpus_.size()); }
   sim::Resource& cpu(int node) { return *cpus_.at(node); }
@@ -59,13 +54,7 @@ class LinuxCluster {
 /// fabric hosts of its I/O nodes.
 class BlueGene {
  public:
-  /// `rank_sim` / `pset_sim` (optional) place per-rank resources (torus
-  /// co-processors + outgoing links, compute CPUs, tree ingest) and
-  /// per-pset resources (tree I/O CPU + link, I/O-node NICs) on their
-  /// owning LP Simulators; empty keeps everything on `sim`.
-  BlueGene(sim::Simulator& sim, net::EthernetFabric& fabric, const CostModel& cost,
-           std::function<sim::Simulator&(int)> rank_sim = {},
-           std::function<sim::Simulator&(int)> pset_sim = {});
+  BlueGene(sim::Simulator& sim, net::EthernetFabric& fabric, const CostModel& cost);
 
   int compute_node_count() const { return static_cast<int>(cpus_.size()); }
   int pset_of(int rank) const { return cndb_.pset_of(rank); }
@@ -89,60 +78,9 @@ class BlueGene {
   Cndb cndb_;
 };
 
-/// Assignment of the simulated hardware to conservative logical
-/// processes (sim/plp.hpp). Psets are kept whole — a pset's compute
-/// nodes and its I/O node always share an LP, so the chatty tree network
-/// never crosses an LP boundary. The links that do cross boundaries, and
-/// therefore bound the channel lookahead, are torus hops between psets
-/// and Ethernet transfers between clusters; their strictly positive
-/// per-hop latency floors (net/*Params::min_link_latency) are recorded
-/// here for the runtime's set_lookahead calls.
-struct LpPartition {
-  int lp_count = 1;
-  double torus_lookahead_s = 0.0;     ///< min torus per-hop latency (pset-to-pset)
-  double ethernet_lookahead_s = 0.0;  ///< min LAN transfer latency (cluster-to-bg)
-  double tree_lookahead_s = 0.0;      ///< min tree latency (intra-LP by construction)
-  std::vector<int> bg_compute_lp;     ///< per compute rank
-  std::vector<int> bg_io_lp;          ///< per pset (same LP as its compute nodes)
-  std::vector<int> be_lp;             ///< per back-end node
-  std::vector<int> fe_lp;             ///< per front-end node
-
-  /// Smallest lookahead of any boundary-crossing link class.
-  double min_lookahead_s() const {
-    return torus_lookahead_s < ethernet_lookahead_s ? torus_lookahead_s : ethernet_lookahead_s;
-  }
-
-  /// The LP owning `loc` (engine RP -> LP affinity).
-  int lp_of(const Location& loc) const;
-};
-
-/// Partitions the hardware described by `cost` into `lp_count` logical
-/// processes (clamped to [1, pset count]): pset p of P maps to LP
-/// p*lps/P, its I/O node with it; back-end and front-end nodes are
-/// chunked over LPs the same way. Deterministic: depends only on the
-/// geometry and lp_count, never on thread count.
-LpPartition make_partition(const CostModel& cost, int lp_count);
-
-/// The LP count make_partition would actually use for `lp_count`
-/// requested LPs on this geometry (clamped to [1, pset count]). Callers
-/// that size an LpDomain before constructing the Machine use this so the
-/// domain and the partition agree.
-int clamp_lp_count(const CostModel& cost, int lp_count);
-
 class Machine {
  public:
   explicit Machine(sim::Simulator& sim, CostModel cost = CostModel::lofar());
-
-  /// Multi-LP layout: every node's resources are constructed on the LP
-  /// Simulator its pset/chunk maps to (make_partition with the domain's
-  /// lp_count — size the domain with clamp_lp_count so they agree), the
-  /// frame pool is sharded per LP, and the domain's lookahead is set to
-  /// the Ethernet per-message overhead — the floor on the latency of
-  /// every cross-LP interaction (split TCP links; cross-pset MPI is
-  /// refused by the engine when more than one LP drives). A 1-LP domain
-  /// behaves exactly like the single-Simulator constructor apart from
-  /// using the domain's Simulator 0.
-  explicit Machine(sim::LpDomain& domain, CostModel cost = CostModel::lofar());
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -158,58 +96,6 @@ class Machine {
   bool has_cluster(const std::string& cluster) const;
   Cndb& cndb(const std::string& cluster);
   int node_count(const std::string& cluster) const;
-
-  /// Partitions this machine's topology into `lp_count` logical
-  /// processes (see make_partition).
-  LpPartition partition(int lp_count) const { return make_partition(cost_, lp_count); }
-
-  // --- Multi-LP layout (LpDomain constructor) ---
-
-  /// The LP domain this machine was laid out over, nullptr for the
-  /// single-Simulator constructor.
-  sim::LpDomain* domain() { return domain_; }
-
-  /// True when queries drive more than one LP Simulator concurrently —
-  /// the condition for split links, deferred metrics and the cross-pset
-  /// MPI restriction.
-  bool parallel_drive() const { return domain_ != nullptr && domain_->lp_count() > 1; }
-
-  /// The layout partition (lp_count 1 for the single-Simulator ctor).
-  const LpPartition& lp_partition() const { return partition_; }
-
-  /// The LP owning `loc` (0 without a domain).
-  int lp_of(const Location& loc) const { return partition_.lp_of(loc); }
-
-  /// The Simulator owning `loc`'s resources.
-  sim::Simulator& sim_of(const Location& loc);
-
-  /// The Simulator of LP `lp` (the machine's only Simulator without a
-  /// domain).
-  sim::Simulator& lp_sim(int lp);
-
-  /// A callback poster for events flowing from `from`'s LP to `to`'s LP:
-  /// same-LP pairs schedule directly on the target Simulator; cross-LP
-  /// pairs stage through the domain's ingress queues under a fresh
-  /// origin id (call at wire time — one poster per serialized link
-  /// direction). Requires the LpDomain constructor.
-  using Poster = std::function<void(double, std::function<void()>)>;
-  Poster make_poster(const Location& from, const Location& to);
-
-  // --- Fabric factor snapshot (lookahead-safe coordination factors) ---
-
-  /// Freezes io_coordination_factor(), compute_mux_factor() and the
-  /// per-host sender imbalance at their current (post-wiring) values:
-  /// reads during the drive phase then touch no shared flow state, which
-  /// is what makes them safe from concurrent LPs. The engine calls this
-  /// after every statement's streams are wired; thaw_fabric_factors()
-  /// returns to live recomputation.
-  void freeze_fabric_factors();
-  void thaw_fabric_factors() { factors_frozen_ = false; }
-  bool fabric_factors_frozen() const { return factors_frozen_; }
-
-  /// Sender-side NIC imbalance factor for a fabric host: the frozen
-  /// snapshot when frozen, the fabric's live value otherwise.
-  double sender_imbalance_factor(int host) const;
 
   /// The compute CPU resource an RP at `loc` charges operator work to.
   sim::Resource& cpu_of(const Location& loc);
@@ -253,27 +139,10 @@ class Machine {
   /// (links, drivers, engine) register labeled counters at wiring time.
   obs::Registry& metrics() { return metrics_; }
 
-  /// The frame recycling pool of LP 0 (the only pool on single-LP
-  /// machines — the historical machine-wide pool). Its counters are
-  /// published as transport.frame_pool.* — on a steady-state stream,
-  /// acquired - reused stays flat: the zero-churn invariant. Multi-LP
-  /// machines shard: use pool_of() so each producer acquires from its
-  /// own LP's pool.
-  transport::FramePool& frame_pool() { return *pools_[0]; }
-
-  /// The frame pool of `loc`'s LP. Frames carry their origin pool, so a
-  /// cross-LP consumer recycles into the producer's shard via its
-  /// mutex-guarded return mailbox (FramePool shared mode). The
-  /// registry's unlabeled transport.frame_pool.* gauges stay exact as
-  /// sums over the shards.
-  transport::FramePool& pool_of(const Location& loc);
-  std::size_t pool_count() const { return pools_.size(); }
-  /// The LP `i` shard directly (diagnostics / property tests).
-  transport::FramePool& pool(std::size_t i) { return *pools_.at(i); }
-
-  /// Kernel perf counters summed over every LP Simulator (the single
-  /// Simulator's counters without a domain).
-  sim::PerfCounters perf_total() const;
+  /// The machine's frame recycling pool. Its counters are published as
+  /// transport.frame_pool.* — on a steady-state stream, acquired -
+  /// reused stays flat: the zero-churn invariant.
+  transport::FramePool& frame_pool() { return frame_pool_; }
 
   /// Publishes the pull-style metrics that are not maintained
   /// incrementally: per-hop torus/tree utilization and busy seconds, and
@@ -282,27 +151,16 @@ class Machine {
   void publish_metrics();
 
  private:
-  void build(sim::Simulator& sim);
-
   sim::Simulator* sim_;
   CostModel cost_;
-  sim::LpDomain* domain_ = nullptr;
-  LpPartition partition_;  // lp_count 1 without a domain
   std::unique_ptr<net::EthernetFabric> fabric_;
   std::unique_ptr<LinuxCluster> fe_;
   std::unique_ptr<LinuxCluster> be_;
   std::unique_ptr<BlueGene> bg_;
   std::vector<int> bg_inbound_streams_;  // per compute rank
-  // One frame pool per LP (a single pool without a domain); shared mode
-  // (cross-thread return mailboxes) is armed only when lp_count > 1.
-  std::vector<std::unique_ptr<transport::FramePool>> pools_;
+  transport::FramePool frame_pool_;
   obs::Registry metrics_;
   sim::Trace* trace_ = nullptr;
-  // Frozen fabric coordination factors (freeze_fabric_factors).
-  bool factors_frozen_ = false;
-  double frozen_io_coord_ = 1.0;
-  std::vector<double> frozen_mux_;        // per compute rank
-  std::vector<double> frozen_imbalance_;  // per fabric host
 };
 
 }  // namespace scsq::hw

@@ -8,13 +8,12 @@ namespace scsq::net {
 EthernetFabric::EthernetFabric(sim::Simulator& sim, EthernetParams params)
     : sim_(&sim), params_(params) {}
 
-int EthernetFabric::add_host(std::string name, bool is_ionode, sim::Simulator* sim) {
+int EthernetFabric::add_host(std::string name, bool is_ionode) {
   Host h;
   h.name = std::move(name);
   h.is_ionode = is_ionode;
-  sim::Simulator& owner = sim ? *sim : *sim_;
-  h.tx = std::make_unique<sim::Resource>(owner, 1, h.name + ".tx");
-  h.rx = std::make_unique<sim::Resource>(owner, 1, h.name + ".rx");
+  h.tx = std::make_unique<sim::Resource>(*sim_, 1, h.name + ".tx");
+  h.rx = std::make_unique<sim::Resource>(*sim_, 1, h.name + ".rx");
   hosts_.push_back(std::move(h));
   return static_cast<int>(hosts_.size()) - 1;
 }
@@ -22,7 +21,6 @@ int EthernetFabric::add_host(std::string name, bool is_ionode, sim::Simulator* s
 FlowId EthernetFabric::open_flow(int src, int dst) {
   SCSQ_CHECK(src >= 0 && src < host_count()) << "bad src host " << src;
   SCSQ_CHECK(dst >= 0 && dst < host_count()) << "bad dst host " << dst;
-  std::lock_guard<std::mutex> lock(flows_mu_);
   FlowId id = next_flow_++;
   flows_[id] = Flow{src, dst};
   hosts_[dst].inbound_flows += 1;
@@ -30,7 +28,6 @@ FlowId EthernetFabric::open_flow(int src, int dst) {
 }
 
 void EthernetFabric::close_flow(FlowId id) {
-  std::lock_guard<std::mutex> lock(flows_mu_);
   auto it = flows_.find(id);
   SCSQ_CHECK(it != flows_.end()) << "close of unknown flow " << id;
   hosts_[it->second.dst].inbound_flows -= 1;
@@ -38,7 +35,6 @@ void EthernetFabric::close_flow(FlowId id) {
 }
 
 int EthernetFabric::distinct_senders_to_ionodes() const {
-  std::lock_guard<std::mutex> lock(flows_mu_);
   std::set<int> senders;
   for (const auto& [id, flow] : flows_) {
     if (hosts_[flow.dst].is_ionode) senders.insert(flow.src);
@@ -47,7 +43,6 @@ int EthernetFabric::distinct_senders_to_ionodes() const {
 }
 
 double EthernetFabric::sender_imbalance_factor(int src) const {
-  std::lock_guard<std::mutex> lock(flows_mu_);
   // Destinations this source currently feeds.
   std::set<int> dsts;
   for (const auto& [id, flow] : flows_) {
@@ -66,8 +61,7 @@ sim::Task<void> EthernetFabric::transfer(FlowId id, std::uint64_t bytes) {
   int src = -1;
   int dst = -1;
   {
-    std::lock_guard<std::mutex> lock(flows_mu_);
-    auto it = flows_.find(id);
+      auto it = flows_.find(id);
     SCSQ_CHECK(it != flows_.end()) << "transfer on unknown flow " << id;
     src = it->second.src;
     dst = it->second.dst;

@@ -5,17 +5,14 @@
 
 namespace scsq::net {
 
-TorusNetwork::TorusNetwork(sim::Simulator& sim, Torus3D topology, TorusParams params,
-                           std::function<sim::Simulator&(int)> node_sim)
-    : sim_(&sim), topology_(topology), params_(params), node_sim_(std::move(node_sim)) {
+TorusNetwork::TorusNetwork(sim::Simulator& sim, Torus3D topology, TorusParams params)
+    : sim_(&sim), topology_(topology), params_(params) {
   const int n = topology_.node_count();
   coprocs_.reserve(n);
   for (int i = 0; i < n; ++i) {
-    coprocs_.push_back(std::make_unique<sim::Resource>(this->node_sim(i), 1,
-                                                       "coproc" + std::to_string(i)));
+    coprocs_.push_back(std::make_unique<sim::Resource>(sim, 1, "coproc" + std::to_string(i)));
   }
   inbound_streams_.assign(n, 0);
-  tx_.assign(static_cast<std::size_t>(n), TxCounters{});
   switch_seconds_by_dst_.assign(static_cast<std::size_t>(n), 0.0);
 }
 
@@ -53,23 +50,11 @@ sim::Resource& TorusNetwork::link(int from, int to) {
   if (it == links_.end()) {
     it = links_
              .emplace(key, std::make_unique<sim::Resource>(
-                               node_sim(from), 1,
+                               *sim_, 1,
                                "link" + std::to_string(from) + "->" + std::to_string(to)))
              .first;
   }
   return *it->second;
-}
-
-void TorusNetwork::prewarm_route(int from, int to) {
-  const auto route = topology_.route(from, to);
-  sim::Simulator& owner = node_sim(from);
-  for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    SCSQ_CHECK(&node_sim(route[i]) == &owner && &node_sim(route[i + 1]) == &owner)
-        << "torus route " << from << "->" << to << " leaves its LP at hop "
-        << route[i] << "->" << route[i + 1]
-        << " — the partition must keep routes inside one pset";
-    link(route[i], route[i + 1]);
-  }
 }
 
 void TorusNetwork::register_inbound_stream(int node) {
@@ -89,22 +74,14 @@ double TorusNetwork::switch_seconds() const {
 }
 
 void TorusNetwork::publish_metrics(obs::Registry& registry) const {
-  TxCounters total;
-  for (const auto& t : tx_) {
-    total.messages += t.messages;
-    total.packets += t.packets;
-    total.rendezvous_messages += t.rendezvous_messages;
-    total.payload_bytes += t.payload_bytes;
-  }
-  registry.counter("torus.messages").set_total(total.messages);
-  registry.counter("torus.packets").set_total(total.packets);
-  registry.counter("torus.rendezvous_messages").set_total(total.rendezvous_messages);
-  registry.counter("torus.payload_bytes").set_total(total.payload_bytes);
+  registry.counter("torus.messages").set_total(tx_.messages);
+  registry.counter("torus.packets").set_total(tx_.packets);
+  registry.counter("torus.rendezvous_messages").set_total(tx_.rendezvous_messages);
+  registry.counter("torus.payload_bytes").set_total(tx_.payload_bytes);
   registry.gauge("torus.coproc.switch_s").set(switch_seconds());
   const int n = topology_.node_count();
   for (const auto& [key, link] : links_) {
-    // Prewarmed-but-idle links would flood the snapshot with zero rows
-    // (and make it depend on the LP count); publish used links only.
+    // Publish used links only.
     if (link->busy_seconds() <= 0.0) continue;
     const int from = static_cast<int>(key / static_cast<std::uint64_t>(n));
     const int to = static_cast<int>(key % static_cast<std::uint64_t>(n));
@@ -138,8 +115,7 @@ sim::Task<void> TorusNetwork::transmit(int from, int to, std::uint64_t payload_b
 void TorusNetwork::transmit_async(int from, int to, std::uint64_t payload_bytes,
                                   std::uint64_t source_tag, sim::Event* sender_free,
                                   sim::Event* delivered) {
-  node_sim(from).spawn(
-      transmit_impl(from, to, payload_bytes, source_tag, sender_free, delivered));
+  sim_->spawn(transmit_impl(from, to, payload_bytes, source_tag, sender_free, delivered));
 }
 
 sim::Task<void> TorusNetwork::transmit_impl(int from, int to, std::uint64_t payload_bytes,
@@ -154,11 +130,10 @@ sim::Task<void> TorusNetwork::transmit_impl(int from, int to, std::uint64_t payl
                                 ? params_.rendezvous_rtt_per_hop_s * std::max(hops, 1)
                                 : 0.0;
 
-  auto& tx = tx_[static_cast<std::size_t>(from)];
-  tx.messages += 1;
-  tx.packets += npkt;
-  tx.payload_bytes += payload_bytes;
-  if (rendezvous > 0.0) tx.rendezvous_messages += 1;
+  tx_.messages += 1;
+  tx_.packets += npkt;
+  tx_.payload_bytes += payload_bytes;
+  if (rendezvous > 0.0) tx_.rendezvous_messages += 1;
 
   // Sender co-processor: per-message overhead, rendezvous handshake (the
   // co-processor is busy during the handshake), per-packet handling.

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -66,25 +65,11 @@ struct TorusParams {
   // reducing effective link rate by up to this fraction (scaled by the
   // same cache ramp). Second contributor to the Fig. 6 decline.
   double memory_slowdown_max = 0.18;
-
-  /// Lower bound on the latency of any torus message: fixed MPI send
-  /// cost, sender co-processor handling of one packet, and one packet's
-  /// wire time on a single link. Strictly positive — the conservative
-  /// parallel runtime (sim/plp.hpp) uses it as the lookahead of LP
-  /// channels that cross the torus.
-  double min_link_latency() const {
-    return per_message_overhead_s + send_per_packet_s +
-           static_cast<double>(packet_bytes) / link_bandwidth_Bps;
-  }
 };
 
 class TorusNetwork {
  public:
-  /// `node_sim` (optional) maps a node id to the LP Simulator that owns
-  /// its resources (co-processor, outgoing links) — multi-LP machines
-  /// pass their partition lookup; empty keeps everything on `sim`.
-  TorusNetwork(sim::Simulator& sim, Torus3D topology, TorusParams params,
-               std::function<sim::Simulator&(int)> node_sim = {});
+  TorusNetwork(sim::Simulator& sim, Torus3D topology, TorusParams params);
 
   TorusNetwork(const TorusNetwork&) = delete;
   TorusNetwork& operator=(const TorusNetwork&) = delete;
@@ -126,19 +111,6 @@ class TorusNetwork {
   /// The communication co-processor of a node (capacity 1).
   sim::Resource& coproc(int node) { return *coprocs_.at(node); }
 
-  /// The LP Simulator owning a node's resources (the construction
-  /// Simulator when no node_sim mapping was given).
-  sim::Simulator& node_sim(int node) const {
-    return node_sim_ ? node_sim_(node) : *sim_;
-  }
-
-  /// Creates every directed link on route(from, to) now, instead of at
-  /// first transmission. Multi-LP machines prewarm all routes they will
-  /// drive in parallel: the links_ map then never mutates during the
-  /// concurrent phase, and the route is checked to stay on `from`'s
-  /// Simulator (a route leaving its LP would hold foreign resources).
-  void prewarm_route(int from, int to);
-
   /// Stream registration: links declare a live inbound stream at `node`
   /// so receive handling can charge the expected source-switch cost.
   void register_inbound_stream(int node);
@@ -171,24 +143,20 @@ class TorusNetwork {
   sim::Simulator* sim_;
   Torus3D topology_;
   TorusParams params_;
-  std::function<sim::Simulator&(int)> node_sim_;
   std::vector<std::unique_ptr<sim::Resource>> coprocs_;
-  // Directed links created lazily, keyed by from * node_count + to
-  // (multi-LP machines prewarm instead — see prewarm_route).
+  // Directed links created lazily, keyed by from * node_count + to.
   std::unordered_map<std::uint64_t, std::unique_ptr<sim::Resource>> links_;
   // Live inbound stream count per node (source-switch expectation).
   std::vector<int> inbound_streams_;
-  // Cumulative transmit totals, sharded by node so concurrent LPs never
-  // share a counter: tx_ is indexed by the sending node (only its LP
-  // increments it), switch_seconds_by_dst_ by the receiving node.
-  // publish_metrics / switch_seconds() sum over the shards.
+  // Cumulative transmit totals (publish_metrics). Source-switch seconds
+  // are kept per receiving node; switch_seconds() sums them.
   struct TxCounters {
     std::uint64_t messages = 0;
     std::uint64_t packets = 0;
     std::uint64_t rendezvous_messages = 0;
     std::uint64_t payload_bytes = 0;
   };
-  std::vector<TxCounters> tx_;
+  TxCounters tx_;
   std::vector<double> switch_seconds_by_dst_;
 };
 

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -35,25 +34,13 @@ struct TreeParams {
   double io_per_message_overhead_s = 30e-6;
   double compute_recv_per_byte_s = 26.7e-9;  // compute-side ingest (~300 Mbit/s cap)
   double compute_per_message_overhead_s = 20e-6;
-
-  /// Lower bound on the latency of any tree-network hop: the fixed I/O
-  /// node per-message overhead plus one byte on the tree link. Strictly
-  /// positive — the conservative parallel runtime (sim/plp.hpp) uses it
-  /// as the lookahead of LP channels that cross the tree.
-  double min_link_latency() const {
-    return io_per_message_overhead_s + 1.0 / link_bandwidth_Bps;
-  }
 };
 
 class TreeNetwork {
  public:
   /// One I/O node (and one tree subtree) per pset; one ingest processor
-  /// per compute node. `pset_sim` / `rank_sim` (optional) place each
-  /// pset's I/O CPU + tree link and each compute node's ingest processor
-  /// on their owning LP Simulator; empty keeps everything on `sim`.
-  TreeNetwork(sim::Simulator& sim, int pset_count, int compute_count, TreeParams params,
-              std::function<sim::Simulator&(int)> pset_sim = {},
-              std::function<sim::Simulator&(int)> rank_sim = {});
+  /// per compute node.
+  TreeNetwork(sim::Simulator& sim, int pset_count, int compute_count, TreeParams params);
 
   TreeNetwork(const TreeNetwork&) = delete;
   TreeNetwork& operator=(const TreeNetwork&) = delete;
@@ -89,16 +76,14 @@ class TreeNetwork {
   std::vector<std::unique_ptr<sim::Resource>> io_cpus_;
   std::vector<std::unique_ptr<sim::Resource>> tree_links_;
   std::vector<std::unique_ptr<sim::Resource>> ingest_;
-  // Message totals sharded per pset: every forward_* call runs entirely
-  // on its pset's LP, so each shard has exactly one writing thread.
-  // publish_metrics sums over the shards.
-  struct PsetCounters {
+  // Message totals (publish_metrics).
+  struct Counters {
     std::uint64_t inbound_messages = 0;
     std::uint64_t inbound_bytes = 0;
     std::uint64_t outbound_messages = 0;
     std::uint64_t outbound_bytes = 0;
   };
-  std::vector<PsetCounters> counters_;
+  Counters counters_;
 };
 
 }  // namespace scsq::net

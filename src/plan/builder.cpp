@@ -94,18 +94,13 @@ OperatorPtr build_grep(const scsql::Expr& call, PlanContext& ctx) {
   return std::make_unique<GrepOp>(ctx, pattern.as_str(), file.as_str());
 }
 
-/// system.metrics/gauges/rates([pattern]) and system.lp(): introspection
-/// sources, legal only inside a monitor plan (ctx.introspect set by
+/// system.metrics/gauges/rates([pattern]): introspection sources, legal only inside a monitor plan (ctx.introspect set by
 /// Engine::register_monitor's runner).
 OperatorPtr build_introspect(const scsql::Expr& call, PlanContext& ctx) {
   if (ctx.introspect == nullptr) {
     throw Error(call.name + "() is an introspection source and is only available in "
                 "monitor queries (\\monitor or Engine::register_monitor)",
                 call.pos);
-  }
-  if (call.name == "system.lp") {
-    if (!call.args.empty()) throw Error("system.lp() takes no arguments", call.pos);
-    return std::make_unique<LpStreamOp>(ctx);
   }
   std::string pattern;
   if (call.args.size() > 1) {
@@ -261,8 +256,7 @@ OperatorPtr build_plan(const ExprPtr& expr, PlanContext& ctx) {
     auto fn = name == "abs" ? ScalarMapOp::Fn::kAbs : ScalarMapOp::Fn::kSqrt;
     return std::make_unique<ScalarMapOp>(ctx, fn, build_plan(expr->args[0], ctx));
   }
-  if (name == "system.metrics" || name == "system.gauges" || name == "system.rates" ||
-      name == "system.lp") {
+  if (name == "system.metrics" || name == "system.gauges" || name == "system.rates") {
     return build_introspect(*expr, ctx);
   }
   if (name == "above") {

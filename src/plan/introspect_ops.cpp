@@ -77,22 +77,4 @@ sim::Task<std::optional<Object>> RateStreamOp::next() {
   co_return std::nullopt;
 }
 
-LpStreamOp::LpStreamOp(PlanContext& ctx) : ctx_(&ctx) {}
-
-sim::Task<std::optional<Object>> LpStreamOp::next() {
-  const auto& feed = feed_of(*ctx_);
-  if (index_ >= feed.lps.size()) co_return std::nullopt;
-  const auto& s = feed.lps[index_++];
-  Bag row;
-  row.reserve(7);
-  row.emplace_back(static_cast<std::int64_t>(s.lp));
-  row.emplace_back(static_cast<std::int64_t>(s.events));
-  row.emplace_back(static_cast<std::int64_t>(s.null_updates));
-  row.emplace_back(static_cast<std::int64_t>(s.msgs_sent));
-  row.emplace_back(static_cast<std::int64_t>(s.msgs_recvd));
-  row.emplace_back(static_cast<std::int64_t>(s.inbox_depth));
-  row.emplace_back(s.horizon_s);
-  co_return Object{std::move(row)};
-}
-
 }  // namespace scsq::plan

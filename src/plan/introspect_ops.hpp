@@ -5,7 +5,7 @@
 //
 // A monitor query (Engine::register_monitor) is compiled into a regular
 // SQEP whose sources read an IntrospectFeed instead of a network driver:
-// one obs::Sampler window per execution, each counter/gauge/LP sample a
+// one obs::Sampler window per execution, each counter/gauge sample a
 // stream element. The plan runs at every sampler window boundary inside
 // the zero-duration sampler tick, under a PlanContext whose NodeParams
 // are all zero and whose CPU resource is private and uncontended — every
@@ -22,29 +22,21 @@
 //   system.rates([pattern])    bare real stream of the matching
 //                              counters' rates — composes with sum()
 //                              (merge across links) and above()
-//   system.lp()                {lp, events, null_updates, msgs_sent,
-//                               msgs_recvd, inbox_depth, horizon_s}
-//                              one row per logical process, fed from
-//                              sim::plp::Runtime::live_sample (or the
-//                              engine's deterministic default provider)
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "obs/sampler.hpp"
 #include "plan/operator.hpp"
-#include "sim/plp.hpp"
 
 namespace scsq::plan {
 
-/// The data an introspection plan reads: one sampler window plus the
-/// per-LP live samples taken at its boundary. Owned by the monitor
-/// runner (exec::Engine); valid only for the duration of one plan run.
+/// The data an introspection plan reads: one sampler window. Owned by
+/// the monitor runner (exec::Engine); valid only for the duration of one
+/// plan run.
 struct IntrospectFeed {
   const obs::Sampler::Window* window = nullptr;
   std::size_t window_index = 0;
-  std::vector<sim::plp::LpLiveSample> lps;
 };
 
 /// system.metrics(pattern): one bag row per matching counter sample.
@@ -83,18 +75,6 @@ class RateStreamOp final : public Operator {
  private:
   PlanContext* ctx_;
   std::string pattern_;
-  std::size_t index_ = 0;
-};
-
-/// system.lp(): one bag row per logical process' live sample.
-class LpStreamOp final : public Operator {
- public:
-  explicit LpStreamOp(PlanContext& ctx);
-  sim::Task<std::optional<catalog::Object>> next() override;
-  std::string name() const override { return "system.lp"; }
-
- private:
-  PlanContext* ctx_;
   std::size_t index_ = 0;
 };
 

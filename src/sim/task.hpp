@@ -47,12 +47,14 @@ namespace detail {
 // calls. Oversized frames (> kCoroBucketCount classes) fall through to
 // the global heap.
 //
-// Chunk ownership is process-global, not per-thread: a frame allocated
-// by one LP worker can be freed on another when a logical process
-// migrates between windows, so a block may outlive the thread whose
-// list first carved it. Chunks are therefore registered in a global
-// registry (always reachable — leak checkers stay quiet) and released
-// only at process exit.
+// Chunk ownership is process-global, not per-thread. Sweep workers
+// (util::run_sweep) are fresh threads on every call and exit when it
+// returns, so a thread's warm free lists would die with it. Instead an
+// exiting thread donates its lists to a global registry, cut into
+// batches of at most kCoroChunkBlocks blocks, and a free-list miss adopts
+// a donated batch before carving a new chunk: successive sweeps reuse
+// the chunks of earlier ones. Chunks stay registered (always reachable —
+// leak checkers stay quiet) and are released only at process exit.
 inline constexpr std::size_t kCoroBucketShift = 6;  // 64-byte classes
 inline constexpr std::size_t kCoroBucketCount = 16;  // covers up to 1 KiB
 inline constexpr std::size_t kCoroChunkBlocks = 64;  // blocks per refill
@@ -60,6 +62,9 @@ inline constexpr std::size_t kCoroChunkBlocks = 64;  // blocks per refill
 struct CoroChunkRegistry {
   std::mutex mu;
   std::vector<void*> chunks;
+  // Free-list batches donated by exited threads, per size class: each
+  // entry heads a null-terminated list of at most kCoroChunkBlocks blocks.
+  std::vector<void*> donated[kCoroBucketCount];
   // Stats of exited threads, folded in at thread-local destruction.
   std::atomic<std::uint64_t> retired_reused{0};
   std::atomic<std::uint64_t> retired_chunks{0};
@@ -72,6 +77,15 @@ struct CoroChunkRegistry {
   void add(void* chunk) {
     const std::lock_guard<std::mutex> lock(mu);
     chunks.push_back(chunk);
+  }
+
+  // Pops one donated batch of class `b`, nullptr when none is left.
+  void* adopt(std::size_t b) {
+    const std::lock_guard<std::mutex> lock(mu);
+    if (donated[b].empty()) return nullptr;
+    void* batch = donated[b].back();
+    donated[b].pop_back();
+    return batch;
   }
 
   static CoroChunkRegistry& instance() {
@@ -90,6 +104,22 @@ struct CoroFreeLists {
 
   ~CoroFreeLists() {
     auto& reg = CoroChunkRegistry::instance();
+    {
+      const std::lock_guard<std::mutex> lock(reg.mu);
+      for (std::size_t b = 0; b < kCoroBucketCount; ++b) {
+        // Cut the list into batches so one adopter cannot take the
+        // whole class and leave other threads to carve fresh chunks.
+        while (void* batch = head[b]) {
+          void* tail = batch;
+          for (std::size_t n = 1; n < kCoroChunkBlocks && *static_cast<void**>(tail); ++n) {
+            tail = *static_cast<void**>(tail);
+          }
+          head[b] = *static_cast<void**>(tail);
+          *static_cast<void**>(tail) = nullptr;
+          reg.donated[b].push_back(batch);
+        }
+      }
+    }
     reg.retired_reused.fetch_add(stats.bucket_reused, std::memory_order_relaxed);
     reg.retired_chunks.fetch_add(stats.chunk_allocs, std::memory_order_relaxed);
     reg.retired_oversize.fetch_add(stats.oversize_allocs, std::memory_order_relaxed);
@@ -101,9 +131,15 @@ struct CoroFreeLists {
   }
 };
 
-// Cold path: carve one chunk into class-size blocks, thread all but the
-// returned one onto the free list.
+// Cold path: adopt a batch donated by an exited thread, else carve one
+// chunk into class-size blocks; thread all but the returned block onto
+// the free list.
 inline void* coro_refill(CoroFreeLists& fl, std::size_t b) {
+  if (void* batch = CoroChunkRegistry::instance().adopt(b)) {
+    fl.head[b] = *static_cast<void**>(batch);
+    ++fl.stats.bucket_reused;
+    return batch;
+  }
   const std::size_t block = (b + 1) << kCoroBucketShift;
   char* chunk = static_cast<char*>(::operator new(block * kCoroChunkBlocks));
   CoroChunkRegistry::instance().add(chunk);

@@ -12,17 +12,6 @@ void Link::start_transmit(Frame frame, std::function<void()> on_sender_free) {
   sim_->spawn(run(std::move(frame), std::move(on_sender_free)));
 }
 
-void Link::enable_split(sim::Simulator& dst_sim, Poster post_dst, Poster post_src,
-                        double credit_latency_s, bool deferred_metrics) {
-  SCSQ_CHECK(post_dst != nullptr && post_src != nullptr) << "split link needs posters";
-  SCSQ_CHECK(credit_latency_s > 0.0) << "split link needs a positive credit latency";
-  dst_sim_ = &dst_sim;
-  post_dst_ = std::move(post_dst);
-  post_src_ = std::move(post_src);
-  credit_latency_s_ = credit_latency_s;
-  deferred_ = deferred_metrics;
-}
-
 sim::Task<void> Link::run(Frame frame, std::function<void()> on_sender_free) {
   const bool eos = frame.eos;
   const std::uint64_t payload = frame.bytes;
@@ -61,34 +50,16 @@ void Link::flush_batch() const {
   stats_.stalls += batch_.stalls;
   stats_.transit_s += batch_.transit_s;
   stats_.window_wait_s += batch_.window_wait_s;
-  if (!deferred_) {
-    if (metrics_.frames) metrics_.frames->inc(batch_.frames);
-    if (metrics_.bytes) metrics_.bytes->inc(batch_.payload_bytes);
-    if (metrics_.stalls && batch_.stalls) metrics_.stalls->inc(batch_.stalls);
-    if (metrics_.stall_seconds) metrics_.stall_seconds->add(batch_.window_wait_s);
-  }
+  if (metrics_.frames) metrics_.frames->inc(batch_.frames);
+  if (metrics_.bytes) metrics_.bytes->inc(batch_.payload_bytes);
+  if (metrics_.stalls && batch_.stalls) metrics_.stalls->inc(batch_.stalls);
+  if (metrics_.stall_seconds) metrics_.stall_seconds->add(batch_.window_wait_s);
   batch_ = StatsBatch{};
 }
 
-void Link::publish_deferred() const {
-  if (!deferred_) return;
-  flush_batch();
-  if (metrics_.frames) metrics_.frames->inc(stats_.frames - published_.frames);
-  if (metrics_.bytes) metrics_.bytes->inc(stats_.payload_bytes - published_.payload_bytes);
-  if (metrics_.stalls && stats_.stalls > published_.stalls) {
-    metrics_.stalls->inc(stats_.stalls - published_.stalls);
-  }
-  if (metrics_.stall_seconds) {
-    metrics_.stall_seconds->add(stats_.window_wait_s - published_.window_wait_s);
-  }
-  published_.frames = stats_.frames;
-  published_.payload_bytes = stats_.payload_bytes;
-  published_.stalls = stats_.stalls;
-  published_.window_wait_s = stats_.window_wait_s;
-  if (metrics_.frame_latency) {
-    for (double s : deferred_latency_) metrics_.frame_latency->observe(s);
-  }
-  deferred_latency_.clear();
+sim::Task<void> Link::transmit_one(Frame, std::function<void()>) {
+  SCSQ_CHECK(false) << "link type '" << type_ << "' has no whole-trip transmit";
+  co_return;
 }
 
 sim::Task<void> Link::src_transmit(Frame, std::function<void()>, double, double, bool) {
@@ -103,18 +74,18 @@ sim::Task<void> Link::dst_receive(Frame) {
 
 void Link::announce_delivery(double at, Frame frame, double t0, double window_wait,
                              bool stalled) {
-  // Frame rides to the destination LP inside a copyable closure; the
-  // shared_ptr avoids deep-copying the object payload.
+  // The frame rides in a copyable closure; the shared_ptr avoids
+  // deep-copying the object payload.
   auto carried = std::make_shared<Frame>(std::move(frame));
-  post_dst_(at, [this, carried, t0, window_wait, stalled] {
-    dst_sim_->spawn(dst_run(std::move(*carried), t0, window_wait, stalled));
+  sim_->call_at(at, [this, carried, t0, window_wait, stalled] {
+    sim_->spawn(dst_run(std::move(*carried), t0, window_wait, stalled));
   });
 }
 
 sim::Task<void> Link::run_split(Frame frame, std::function<void()> on_sender_free) {
   const double t0 = sim_->now();
-  // Same stall truth-value as the sequential path — computed here on the
-  // source LP, accounted in dst_run where batch_ lives.
+  // Same stall truth-value as the whole-trip schedule; accounted in
+  // dst_run with the rest of the frame.
   const bool stalled = window_.in_use() >= window_.capacity();
   co_await window_.acquire();
   const double window_wait = sim_->now() - t0;
@@ -126,24 +97,19 @@ sim::Task<void> Link::dst_run(Frame frame, double t0, double window_wait, bool s
   const bool eos = frame.eos;
   const std::uint64_t payload = frame.bytes;
   co_await dst_receive(std::move(frame));
-  const double t1 = dst_sim_->now();
+  const double t1 = sim_->now();
   batch_.frames += 1;
   batch_.payload_bytes += payload;
   batch_.wire_bytes += wire_bytes_for(payload);
   if (stalled) ++batch_.stalls;
   batch_.transit_s += t1 - t0;
   batch_.window_wait_s += window_wait;
-  if (deferred_) {
-    if (metrics_.frame_latency) deferred_latency_.push_back(t1 - t0);
-  } else if (metrics_.frame_latency) {
-    metrics_.frame_latency->observe(t1 - t0);
-  }
+  if (metrics_.frame_latency) metrics_.frame_latency->observe(t1 - t0);
   stats_.latency.observe(t1 - t0);
   if (flow_trace_ && !eos) flow_trace_->flow(flow_from_, flow_to_, "frame", t0, t1);
-  // Flow-control credit back to the source LP: the window slot frees one
-  // modeled round-trip after delivery. The drained event (EOS) rides the
-  // same credit — both are source-LP-owned state.
-  post_src_(t1 + credit_latency_s_, [this, eos] {
+  // Flow-control credit: the window slot frees one modeled round-trip
+  // after delivery. The drained event (EOS) rides the same credit.
+  sim_->call_at(t1 + credit_latency_s_, [this, eos] {
     window_.release();
     if (eos) drained_.set();
   });
@@ -152,8 +118,8 @@ sim::Task<void> Link::dst_run(Frame frame, double t0, double window_wait, bool s
     stream_ended();
   } else if (batch_.frames >= 16) {
     // Bounded batching: split links never see the window drain to zero
-    // on the delivery side (the credit round-trip keeps slots in
-    // flight), so settle the books every 16 frames instead.
+    // at delivery (the credit round-trip keeps slots in flight), so
+    // settle the books every 16 frames instead.
     flush_batch();
   }
 }
@@ -173,13 +139,11 @@ SenderDriver::SenderDriver(sim::Simulator& sim, DriverParams params, sim::Resour
 }
 
 void SenderDriver::ensure_drain() {
-  // Lazy: spawned at the first push/finish instead of at construction.
-  // Construction happens while streams are wired — on a multi-LP machine
-  // that may be a *remote* Simulator that has not started running yet,
-  // and an error between wiring and the drive would otherwise strand an
-  // un-dispatched coroutine start in its queue. The drain's first action
-  // is to park on an empty outbox either way, so the simulated timeline
-  // is unchanged.
+  // Lazy: spawned at the first push/finish instead of at construction,
+  // so an error between wiring and the drive leaves no un-dispatched
+  // coroutine start in the queue. The drain's first action is to park
+  // on an empty outbox either way, so the simulated timeline is
+  // unchanged.
   if (drain_started_) return;
   drain_started_ = true;
   sim_->spawn(drain());

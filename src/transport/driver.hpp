@@ -91,12 +91,23 @@ struct LinkStats {
 /// / the TCP window): when the consumer stops draining, the pipeline
 /// stalls all the way back to the producer instead of queueing unbounded
 /// frames inside the network resources.
+///
+/// A link runs one of two schedules, fixed by its constructor:
+///  * whole-trip (MPI, local): transmit_one carries a frame from window
+///    admission to inbox delivery, and the window slot frees on
+///    delivery;
+///  * split (TCP): the source half (src_transmit) holds the source-side
+///    resources and announces the destination half at the claimed
+///    completion time of its final source resource; the destination
+///    half (dst_receive) holds the receive-side resources and delivers
+///    into the inbox, and the window slot frees one flow-control credit
+///    latency after delivery.
 class Link {
  public:
-  explicit Link(sim::Simulator& sim, int window = kDefaultWindow)
-      : sim_(&sim), drained_(sim), window_(sim, window, "linkwin") {}
+  /// Whole-trip schedule.
+  explicit Link(sim::Simulator& sim) : Link(sim, 0.0) {}
 
-  static constexpr int kDefaultWindow = 4;
+  static constexpr int kWindow = 4;
   virtual ~Link() = default;
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -105,35 +116,6 @@ class Link {
   /// invoked when the send buffer becomes reusable. Frames are delivered
   /// to the consumer inbox in start order.
   void start_transmit(Frame frame, std::function<void()> on_sender_free);
-
-  /// Schedules a callback onto a (possibly remote) LP Simulator at an
-  /// absolute simulated time (hw::Machine::make_poster).
-  using Poster = std::function<void(double, std::function<void()>)>;
-
-  /// Splits this link's transmit pipeline across two LP Simulators for
-  /// the parallel engine drive. The source half keeps running on the
-  /// constructing Simulator (window admission and source-side resource
-  /// holds); it *claims* the completion time of its final source
-  /// resource and posts the destination half onto `dst_sim` via
-  /// `post_dst` a full resource-hold ahead of that time — the lookahead
-  /// that keeps conservative LP windows safe. The destination half
-  /// performs the receive-side holds and the inbox delivery, then posts
-  /// the flow-control credit back via `post_src` after
-  /// `credit_latency_s` (releasing the window and, at EOS, the drained
-  /// event — both source-owned). With `deferred_metrics` (LP count > 1)
-  /// the shared registry is never touched during the drive; the engine
-  /// calls publish_deferred() once the domain is quiescent. stats()
-  /// totals stay exact throughout — they are destination-LP-owned.
-  void enable_split(sim::Simulator& dst_sim, Poster post_dst, Poster post_src,
-                    double credit_latency_s, bool deferred_metrics);
-
-  /// True once enable_split() has been called.
-  bool split() const { return dst_sim_ != nullptr; }
-
-  /// Applies registry updates withheld during a parallel drive (counter
-  /// increments and buffered latency samples). Idempotent: a cursor
-  /// remembers what was already published. Safe only at quiescence.
-  void publish_deferred() const;
 
   /// Set once the EOS frame has been delivered (safe to tear down).
   sim::Event& drained() { return drained_; }
@@ -162,31 +144,37 @@ class Link {
   }
 
  protected:
-  virtual sim::Task<void> transmit_one(Frame frame,
-                                       std::function<void()> on_sender_free) = 0;
+  /// Split schedule; `credit_latency_s` (> 0) models the flow-control
+  /// round trip that returns a window slot after delivery.
+  Link(sim::Simulator& sim, double credit_latency_s)
+      : sim_(&sim),
+        drained_(sim),
+        window_(sim, kWindow, "linkwin"),
+        credit_latency_s_(credit_latency_s) {}
 
-  /// Split mode, source half: source-side resource holds only.
+  /// Whole-trip schedule: the frame's trip from the window to the inbox.
+  /// Split links never call it; the default aborts.
+  virtual sim::Task<void> transmit_one(Frame frame, std::function<void()> on_sender_free);
+
+  /// Split schedule, source half: source-side resource holds only.
   /// Implementations claim() their final capacity-1 source resource,
-  /// call announce_delivery() with the claimed completion time *before
-  /// suspending* (the claim and the announce must share one event — that
-  /// is what makes the announced time at least one lookahead ahead of
-  /// every LP's clock), then co_await the actual holds. Links that never
-  /// split (MPI, local) keep the default, which aborts.
+  /// call announce_delivery() with the claimed completion time before
+  /// suspending (claim and use must share one event so claim order is
+  /// grant order), then co_await the actual holds. Whole-trip links
+  /// never call it; the default aborts.
   virtual sim::Task<void> src_transmit(Frame frame, std::function<void()> on_sender_free,
                                        double t0, double window_wait, bool stalled);
 
-  /// Split mode, destination half: receive-side resource holds plus the
-  /// inbox delivery. Runs on the destination LP.
+  /// Split schedule, destination half: receive-side resource holds plus
+  /// the inbox delivery.
   virtual sim::Task<void> dst_receive(Frame frame);
 
-  /// Posts the destination half of a split transmit onto the destination
-  /// LP at absolute time `at` (the claimed source completion time).
+  /// Schedules the destination half of a split transmit at absolute time
+  /// `at` (the claimed source completion time).
   void announce_delivery(double at, Frame frame, double t0, double window_wait,
                          bool stalled);
 
-  /// Called after the EOS frame is delivered; close flows etc. In split
-  /// mode this runs on the destination LP — implementations may only
-  /// touch mutex-guarded or destination-owned state there.
+  /// Called after the EOS frame is delivered; close flows etc.
   virtual void stream_ended() {}
 
   /// Bytes a payload occupies on the wire. The default is the payload
@@ -200,13 +188,14 @@ class Link {
   sim::Simulator& sim() { return *sim_; }
 
  private:
+  bool split() const { return credit_latency_s_ > 0.0; }
+  /// Whole-trip schedule: window admission, transmit_one, accounting.
   sim::Task<void> run(Frame frame, std::function<void()> on_sender_free);
-  /// Split-mode source half: window admission on the source LP, then
-  /// src_transmit (which announces the destination half).
+  /// Split schedule, source half: window admission, then src_transmit
+  /// (which announces the destination half).
   sim::Task<void> run_split(Frame frame, std::function<void()> on_sender_free);
-  /// Split-mode destination half: dst_receive, then accounting (batch_,
-  /// stats_ and the latency samples are destination-LP-owned in split
-  /// mode) and the window credit back to the source LP.
+  /// Split schedule, destination half: dst_receive, accounting and the
+  /// window credit.
   sim::Task<void> dst_run(Frame frame, double t0, double window_wait, bool stalled);
 
   /// Scalar stats accumulated across a burst of in-flight frames and
@@ -226,6 +215,7 @@ class Link {
   sim::Simulator* sim_;
   sim::Event drained_;
   sim::Resource window_;
+  double credit_latency_s_;  // 0 = whole-trip schedule
   LinkMetrics metrics_;
   mutable LinkStats stats_;
   mutable StatsBatch batch_;
@@ -233,23 +223,6 @@ class Link {
   sim::Trace* flow_trace_ = nullptr;
   std::string flow_from_;
   std::string flow_to_;
-  // --- split-mode state (enable_split) ---
-  sim::Simulator* dst_sim_ = nullptr;
-  Poster post_dst_;
-  Poster post_src_;
-  double credit_latency_s_ = 0.0;
-  bool deferred_ = false;
-  /// What publish_deferred() has already pushed into the registry.
-  struct PublishedCursor {
-    std::uint64_t frames = 0;
-    std::uint64_t payload_bytes = 0;
-    std::uint64_t stalls = 0;
-    double window_wait_s = 0.0;
-  };
-  mutable PublishedCursor published_;
-  /// Latency samples awaiting publish_deferred() (deferred mode only —
-  /// stats_.latency always observes every sample immediately).
-  mutable std::vector<double> deferred_latency_;
 };
 
 class SenderDriver {

@@ -17,10 +17,7 @@
 // Shutdown contract: shutdown() (and the destructor, which calls it)
 // first drains every already-submitted task, then joins the workers —
 // deterministically, in that order, and idempotently. Submitting after
-// shutdown began is a programming error and is checked. The parallel LP
-// runtime (sim/plp.hpp) parks its long-running per-worker loops in a
-// pool and relies on this drain-then-join discipline to tear down
-// cleanly after the conservative simulation quiesces.
+// shutdown began is a programming error and is checked.
 #pragma once
 
 #include <condition_variable>
@@ -75,35 +72,26 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Splits [0, n) into `chunks` contiguous ranges in a *stable* order —
-/// chunk c always covers [c*n/chunks, (c+1)*n/chunks), independent of
-/// thread count — and runs fn(chunk_index, begin, end) for each, chunks
-/// submitted in increasing index order on up to `threads` workers.
-/// Blocks until every chunk finishes. If any chunk throws, the exception
-/// of the lowest-index failing chunk is rethrown (deterministically)
-/// after all chunks complete. threads <= 1 (or a single chunk) runs
-/// inline on the caller in chunk order. This is the shared fan-out
-/// primitive: the sweep harness runs one item per chunk, and the LP
-/// runtime assigns logical processes to workers by chunk so the LP ->
-/// worker mapping is stable for any worker count.
+/// Runs fn(i) for every i in [0, n) on up to `threads` workers, items
+/// handed out in FIFO index order. Blocks until all iterations finish;
+/// if any throw, the lowest-index exception is rethrown
+/// (deterministically) after every item completes. threads <= 1 (or a
+/// single item) runs inline on the caller in index order.
 template <class Fn>
-void parallel_chunks(std::size_t n, unsigned threads, std::size_t chunks, Fn&& fn) {
-  if (n == 0 || chunks == 0) return;
-  if (chunks > n) chunks = n;
-  const auto begin_of = [n, chunks](std::size_t c) { return c * n / chunks; };
-  if (threads <= 1 || chunks == 1) {
-    for (std::size_t c = 0; c < chunks; ++c) fn(c, begin_of(c), begin_of(c + 1));
+void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
+  if (threads <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::vector<std::exception_ptr> errors(chunks);
+  std::vector<std::exception_ptr> errors(n);
   {
-    ThreadPool pool(threads < chunks ? threads : static_cast<unsigned>(chunks));
-    for (std::size_t c = 0; c < chunks; ++c) {
-      pool.submit([&fn, &errors, &begin_of, c] {
+    ThreadPool pool(threads < n ? threads : static_cast<unsigned>(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      pool.submit([&fn, &errors, i] {
         try {
-          fn(c, begin_of(c), begin_of(c + 1));
+          fn(i);
         } catch (...) {
-          errors[c] = std::current_exception();
+          errors[i] = std::current_exception();
         }
       });
     }
@@ -112,18 +100,6 @@ void parallel_chunks(std::size_t n, unsigned threads, std::size_t chunks, Fn&& f
   for (auto& err : errors) {
     if (err) std::rethrow_exception(err);
   }
-}
-
-/// Runs fn(i) for every i in [0, n) on up to `threads` workers: one item
-/// per chunk, handed out in FIFO index order (see parallel_chunks).
-/// Blocks until all iterations finish; the lowest-index exception is
-/// rethrown deterministically. threads <= 1 runs inline on the caller.
-template <class Fn>
-void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
-  parallel_chunks(n, threads, n,
-                  [&fn](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) fn(i);
-                  });
 }
 
 /// Maps `fn` over `points`, returning results in point order regardless

@@ -1,16 +1,15 @@
 // Introspection-monitor regression suite (DESIGN.md §5.8).
 //
 // The load-bearing invariant of the monitor PR: monitors are pure
-// observers. A continuous SCSQL query over system.metrics / system.lp
-// runs at every sampler window boundary as a zero-duration read-only
-// callback driven by synchronous coroutine resumption under an all-zero
-// cost model — so every figure table, elapsed_s and result is
-// byte-identical with monitors on or off, at every SCSQ_SIM_LPS x
-// SCSQ_BATCH_SIZE combination. These tests pin that invariant at the
-// engine level and cover the surface around it: the system.* stream row
-// shapes, above() threshold semantics, register-time validation of
-// non-introspection queries, the LP live-sample provider hook, and the
-// alert JSONL golden shape.
+// observers. A continuous SCSQL query over system.metrics runs at every
+// sampler window boundary as a zero-duration read-only callback driven
+// by synchronous coroutine resumption under an all-zero cost model — so
+// every figure table, elapsed_s and result is byte-identical with
+// monitors on or off, at every SCSQ_BATCH_SIZE. These tests pin that
+// invariant at the engine level and cover the surface around it: the
+// system.* stream row shapes, above() threshold semantics,
+// register-time validation of non-introspection queries, and the alert
+// JSONL golden shape.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -24,7 +23,6 @@
 #include "obs/monitor.hpp"
 #include "plan/builder.hpp"
 #include "scsql/parser.hpp"
-#include "sim/plp.hpp"
 #include "util/json.hpp"
 
 namespace scsq {
@@ -55,13 +53,12 @@ struct RunOut {
   std::size_t windows = 0;
 };
 
-RunOut run_case(bool monitored, int lps, std::size_t batch,
+RunOut run_case(bool monitored, std::size_t batch,
                 const std::string& monitor_query = kThresholdMonitor,
                 const char* script = kFig6Script) {
   ScsqConfig config;
   config.exec.sample_interval_s = 1e-3;  // sampling on in *every* case:
-  config.exec.sim_lps = lps;             // monitored-vs-not is the only delta
-  config.exec.batch_size = batch;
+  config.exec.batch_size = batch;        // monitored-vs-not is the only delta
   Scsq scsq(config);
   if (monitored) scsq.engine().register_monitor(monitor_query);
   RunOut out;
@@ -75,52 +72,44 @@ RunOut run_case(bool monitored, int lps, std::size_t batch,
 }
 
 // ---------------------------------------------------------------------
-// Zero-perturbation byte-identity across the LP x batch matrix
+// Zero-perturbation byte-identity across batch depths
 // ---------------------------------------------------------------------
 
-TEST(MonitorInvariance, TablesIdenticalOnOffAcrossLpsAndBatch) {
-  const RunOut base = run_case(/*monitored=*/false, /*lps=*/1, /*batch=*/256);
+TEST(MonitorInvariance, TablesIdenticalOnOffAcrossBatch) {
+  const RunOut base = run_case(/*monitored=*/false, /*batch=*/256);
   std::string monitored_alerts;
-  for (const int lps : {1, 4}) {
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{256}}) {
-      SCOPED_TRACE("lps=" + std::to_string(lps) + " batch=" + std::to_string(batch));
-      const RunOut run = run_case(/*monitored=*/true, lps, batch);
-      // Bitwise, not approximate: the monitor may not move a single
-      // simulated event.
-      EXPECT_EQ(run.report.elapsed_s, base.report.elapsed_s);
-      EXPECT_EQ(run.report.setup_s, base.report.setup_s);
-      EXPECT_EQ(run.report.stream_bytes, base.report.stream_bytes);
-      ASSERT_EQ(run.report.results.size(), base.report.results.size());
-      for (std::size_t i = 0; i < run.report.results.size(); ++i) {
-        EXPECT_EQ(run.report.results[i].to_string(),
-                  base.report.results[i].to_string());
-      }
-      // The alert stream itself is part of the contract: same windows,
-      // same rows, byte-identical serialization at every LP/batch depth.
-      EXPECT_GT(run.alert_count, 0u);
-      if (monitored_alerts.empty()) {
-        monitored_alerts = run.alerts_jsonl;
-      } else {
-        EXPECT_EQ(run.alerts_jsonl, monitored_alerts);
-      }
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{256}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    const RunOut run = run_case(/*monitored=*/true, batch);
+    // Bitwise, not approximate: the monitor may not move a single
+    // simulated event.
+    EXPECT_EQ(run.report.elapsed_s, base.report.elapsed_s);
+    EXPECT_EQ(run.report.setup_s, base.report.setup_s);
+    EXPECT_EQ(run.report.stream_bytes, base.report.stream_bytes);
+    ASSERT_EQ(run.report.results.size(), base.report.results.size());
+    for (std::size_t i = 0; i < run.report.results.size(); ++i) {
+      EXPECT_EQ(run.report.results[i].to_string(), base.report.results[i].to_string());
+    }
+    // The alert stream itself is part of the contract: same windows,
+    // same rows, byte-identical serialization at every batch depth.
+    EXPECT_GT(run.alert_count, 0u);
+    if (monitored_alerts.empty()) {
+      monitored_alerts = run.alerts_jsonl;
+    } else {
+      EXPECT_EQ(run.alerts_jsonl, monitored_alerts);
     }
   }
 }
 
 TEST(MonitorInvariance, Fig8MergeTablesIdenticalOnOff) {
-  for (const int lps : {1, 4}) {
-    SCOPED_TRACE("lps=" + std::to_string(lps));
-    const RunOut base =
-        run_case(/*monitored=*/false, lps, 256, kThresholdMonitor, kFig8Script);
-    const RunOut run =
-        run_case(/*monitored=*/true, lps, 256, kThresholdMonitor, kFig8Script);
-    EXPECT_EQ(run.report.elapsed_s, base.report.elapsed_s);
-    EXPECT_EQ(run.report.stream_bytes, base.report.stream_bytes);
-    ASSERT_EQ(run.report.results.size(), 1u);
-    EXPECT_EQ(run.report.results[0].as_int(), 20);  // 10 arrays per producer
-    EXPECT_EQ(base.report.results[0].as_int(), 20);
-    EXPECT_GT(run.alert_count, 0u);
-  }
+  const RunOut base = run_case(/*monitored=*/false, 256, kThresholdMonitor, kFig8Script);
+  const RunOut run = run_case(/*monitored=*/true, 256, kThresholdMonitor, kFig8Script);
+  EXPECT_EQ(run.report.elapsed_s, base.report.elapsed_s);
+  EXPECT_EQ(run.report.stream_bytes, base.report.stream_bytes);
+  ASSERT_EQ(run.report.results.size(), 1u);
+  EXPECT_EQ(run.report.results[0].as_int(), 20);  // 10 arrays per producer
+  EXPECT_EQ(base.report.results[0].as_int(), 20);
+  EXPECT_GT(run.alert_count, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -128,7 +117,7 @@ TEST(MonitorInvariance, Fig8MergeTablesIdenticalOnOff) {
 // ---------------------------------------------------------------------
 
 TEST(MonitorAlerts, ThresholdAlertContent) {
-  const RunOut run = run_case(/*monitored=*/true, 1, 256);
+  const RunOut run = run_case(/*monitored=*/true, 256);
   ASSERT_GT(run.alert_count, 0u);
   ASSERT_GT(run.windows, 0u);
   std::istringstream lines(run.alerts_jsonl);
@@ -178,55 +167,6 @@ TEST(MonitorAlerts, MetricsRowShape) {
     EXPECT_EQ(row[3].as_real(), a.t_start);
     EXPECT_EQ(row[4].as_real(), a.t_end);
   }
-}
-
-TEST(MonitorAlerts, LpStreamUsesLiveSampleProvider) {
-  ScsqConfig config;
-  config.exec.sample_interval_s = 1e-3;
-  Scsq scsq(config);
-  scsq.engine().set_lp_live_source([] {
-    std::vector<sim::plp::LpLiveSample> v(2);
-    v[0].lp = 0;
-    v[0].events = 10;
-    v[0].inbox_depth = 3;
-    v[0].horizon_s = 1.5;
-    v[1].lp = 1;
-    v[1].events = 20;
-    return v;
-  });
-  scsq.engine().register_monitor("system.lp()");
-  scsq.run(kFig6Script);
-  const auto& alerts = scsq.engine().monitor_alerts();
-  const std::size_t windows = scsq.engine().sampler().windows().size();
-  ASSERT_GT(windows, 0u);
-  ASSERT_EQ(alerts.size(), 2 * windows);  // two LP rows per window
-  // {lp, events, null_updates, msgs_sent, msgs_recvd, inbox_depth, horizon_s}
-  const auto& row0 = alerts[0].value.as_bag();
-  ASSERT_EQ(row0.size(), 7u);
-  EXPECT_EQ(row0[0].as_int(), 0);
-  EXPECT_EQ(row0[1].as_int(), 10);
-  EXPECT_EQ(row0[5].as_int(), 3);
-  EXPECT_EQ(row0[6].as_real(), 1.5);
-  const auto& row1 = alerts[1].value.as_bag();
-  EXPECT_EQ(row1[0].as_int(), 1);
-  EXPECT_EQ(row1[1].as_int(), 20);
-}
-
-TEST(MonitorAlerts, DefaultLpRowsFollowPartition) {
-  ScsqConfig config;
-  config.exec.sample_interval_s = 1e-3;
-  config.exec.sim_lps = 4;
-  Scsq scsq(config);
-  scsq.engine().register_monitor("system.lp()");
-  scsq.run(kFig6Script);
-  const auto& alerts = scsq.engine().monitor_alerts();
-  const std::size_t windows = scsq.engine().sampler().windows().size();
-  ASSERT_GT(windows, 0u);
-  // Without a live source the engine synthesizes one row per
-  // partition LP.
-  ASSERT_EQ(alerts.size(), 4 * windows);
-  EXPECT_EQ(alerts[0].value.as_bag()[0].as_int(), 0);
-  EXPECT_EQ(alerts[3].value.as_bag()[0].as_int(), 3);
 }
 
 // ---------------------------------------------------------------------
@@ -294,14 +234,14 @@ TEST(MonitorRegistration, NamesListingAndRemoval) {
   auto& engine = scsq.engine();
   const std::string m1 = engine.register_monitor(kThresholdMonitor);
   // Trailing semicolons and `select` sugar are accepted.
-  const std::string m2 = engine.register_monitor("select system.lp();");
+  const std::string m2 = engine.register_monitor("select system.gauges('engine');");
   EXPECT_EQ(m1, "m1");
   EXPECT_EQ(m2, "m2");
   const auto listed = engine.monitors();
   ASSERT_EQ(listed.size(), 2u);
   EXPECT_EQ(listed[0].name, "m1");
   EXPECT_EQ(listed[0].query, kThresholdMonitor);
-  EXPECT_EQ(listed[1].query, "select system.lp()");
+  EXPECT_EQ(listed[1].query, "select system.gauges('engine')");
   EXPECT_TRUE(engine.unregister_monitor("m1"));
   EXPECT_FALSE(engine.unregister_monitor("m1"));  // already gone
   ASSERT_EQ(engine.monitors().size(), 1u);
@@ -334,13 +274,31 @@ TEST(MonitorRegistration, IntrospectionSourcesRejectedOutsideMonitors) {
   // rather than read a stale window.
   PlanHarness h;
   EXPECT_THROW(h.run("system.metrics('x')"), scsql::Error);
-  EXPECT_THROW(h.run("system.lp()"), scsql::Error);
+  EXPECT_THROW(h.run("system.gauges()"), scsql::Error);
   // Same guard through the full engine: a stream process binding an
   // introspection source fails the statement.
   Scsq scsq;
   EXPECT_THROW(
       scsq.run("select extract(a) from sp a where a=sp(system.metrics('x'),'bg');"),
       scsql::Error);
+}
+
+TEST(MonitorRegistration, SystemLpIsAnUnknownFunction) {
+  // There is no per-LP introspection source: system.lp() is an ordinary
+  // unknown function, rejected with a typed, positioned error both at
+  // registration and inside a statement.
+  Scsq scsq;
+  try {
+    scsq.engine().register_monitor("select system.lp();");
+    FAIL() << "system.lp() registered as a monitor";
+  } catch (const scsql::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown function 'system.lp'"), std::string::npos)
+        << e.what();
+    EXPECT_GT(e.pos().line, 0);
+  }
+  EXPECT_EQ(scsq.engine().monitors().size(), 0u);
+  EXPECT_THROW(scsq.run("select extract(a) from sp a where a=sp(system.lp(),'bg');"),
+               scsql::Error);
 }
 
 TEST(MonitorRegistration, EnvMonitorAutoRegisters) {

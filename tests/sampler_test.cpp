@@ -1,14 +1,14 @@
 // Sim-time telemetry sampler regression suite.
 //
-// The load-bearing invariant of the sampler PR: sampling is purely
+// The load-bearing invariant of the sampler: sampling is purely
 // observational. Every figure table, every elapsed_s, every result is
-// byte-identical with SCSQ_SAMPLE_INTERVAL on or off, at every
-// SCSQ_SIM_LPS setting — because ticks are zero-duration read-only
-// callbacks and the parked tick is cancelled (not dispatched) when the
-// statement drains. These tests pin that invariant at the engine level
-// and unit-test the windowing math: counter deltas across registry
-// re-use, mid-run series baselining, LogHistogram per-window quantiles
-// for empty and single-sample windows, and the JSONL export shape.
+// byte-identical with SCSQ_SAMPLE_INTERVAL on or off — because ticks
+// are zero-duration read-only callbacks and the parked tick is
+// cancelled (not dispatched) when the statement drains. These tests pin
+// that invariant at the engine level and unit-test the windowing math:
+// counter deltas across registry re-use, mid-run series baselining,
+// LogHistogram per-window quantiles for empty and single-sample
+// windows, and the JSONL export shape.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -288,35 +288,27 @@ TEST(Sampler, JsonlParsesAndMatchesWindows) {
 }
 
 // ---------------------------------------------------------------------
-// Engine-level byte identity: sampler on/off x SCSQ_SIM_LPS
+// Engine-level byte identity: sampler on/off
 // ---------------------------------------------------------------------
 
-exec::RunReport run_sampled(const std::string& script, double interval, int lps) {
+exec::RunReport run_sampled(const std::string& script, double interval) {
   ScsqConfig config;
   config.exec.sample_interval_s = interval;  // >= 0 skips the env resolve
-  config.exec.sim_lps = lps;
   Scsq scsq(config);
   return scsq.run(script);
 }
 
-TEST(SamplerInvariance, TablesIdenticalOnOffAcrossLps) {
+TEST(SamplerInvariance, TablesIdenticalOnOff) {
   const std::string script =
       "select extract(b) from sp a, sp b"
       " where b=sp(streamof(count(extract(a))),'bg',0)"
       " and a=sp(gen_array(100000,3),'bg',1);";
-  const auto base = run_sampled(script, 0.0, 1);
-  for (const int lps : {1, 4}) {
-    for (const double interval : {0.0, 1e-3}) {
-      if (interval == 0.0 && lps == 1) continue;  // that is `base`
-      SCOPED_TRACE("lps=" + std::to_string(lps) +
-                   " interval=" + std::to_string(interval));
-      const auto run = run_sampled(script, interval, lps);
-      ASSERT_EQ(run.results.size(), base.results.size());
-      EXPECT_EQ(run.elapsed_s, base.elapsed_s);  // bitwise, not approximate
-      EXPECT_EQ(run.setup_s, base.setup_s);
-      EXPECT_EQ(run.stream_bytes, base.stream_bytes);
-    }
-  }
+  const auto base = run_sampled(script, 0.0);
+  const auto run = run_sampled(script, 1e-3);
+  ASSERT_EQ(run.results.size(), base.results.size());
+  EXPECT_EQ(run.elapsed_s, base.elapsed_s);  // bitwise, not approximate
+  EXPECT_EQ(run.setup_s, base.setup_s);
+  EXPECT_EQ(run.stream_bytes, base.stream_bytes);
 }
 
 TEST(SamplerInvariance, EngineProducesWindowsAndLinkQuantiles) {

@@ -4,15 +4,13 @@
 // bench tables rest on.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
-#include <string>
-#include <thread>
+#include <latch>
 #include <vector>
 
 #include "common.hpp"
 #include "core/scsq.hpp"
 #include "sim/channel.hpp"
+#include "sim/task.hpp"
 #include "util/thread_pool.hpp"
 
 namespace scsq::bench {
@@ -112,38 +110,28 @@ TEST(SweepDeterminism, DeadlockReportingSurvivesWorkerThreads) {
   for (auto l : live) EXPECT_EQ(l, 1u);
 }
 
-TEST(HarnessKnobs, SimLpsParsesEnvStrictly) {
-  unsetenv("SCSQ_SIM_LPS");
-  EXPECT_EQ(sim_lps(), 1);
-  setenv("SCSQ_SIM_LPS", "4", 1);
-  EXPECT_EQ(sim_lps(), 4);
-  setenv("SCSQ_SIM_LPS", "0", 1);  // non-positive: fall back
-  EXPECT_EQ(sim_lps(), 1);
-  setenv("SCSQ_SIM_LPS", "2x", 1);  // trailing junk: fall back
-  EXPECT_EQ(sim_lps(), 1);
-  unsetenv("SCSQ_SIM_LPS");
-}
-
-// The oversubscription guard caps LP *workers* (a performance knob) so
-// sweep_threads x workers never exceeds the hardware; the LP count
-// itself is semantic and untouched. Results are worker-count invariant
-// (LpWorkload.InvariantAcrossLpAndWorkerCounts), so the cap is safe.
-TEST(HarnessKnobs, PlpWorkersRespectsHardwareBudget) {
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  // With a 1-thread sweep the only cap is the hardware itself.
-  setenv("SCSQ_BENCH_THREADS", "1", 1);
-  EXPECT_EQ(plp_workers(1), 1u);
-  EXPECT_EQ(plp_workers(static_cast<int>(hw)), hw);
-  EXPECT_EQ(plp_workers(static_cast<int>(hw) + 7), hw);
-  EXPECT_GE(plp_workers(-3), 1u);  // degenerate input floors at 1
-  // A sweep pool as wide as the hardware leaves one core's worth of
-  // budget per point: LP workers collapse to 1 (and a single [harness]
-  // warning goes to stderr, which this test tolerates but cannot
-  // portably capture).
-  setenv("SCSQ_BENCH_THREADS", std::to_string(hw).c_str(), 1);
-  EXPECT_EQ(plp_workers(static_cast<int>(hw) + 1), std::max(1u, hw / hw));
-  unsetenv("SCSQ_BENCH_THREADS");
+// Sweep workers are fresh threads on every run_sweep call. Their warm
+// coroutine-frame free lists must outlive them (sim/task.hpp): once the
+// first sweep has carved what the workload needs, later sweeps adopt the
+// retired workers' blocks and carve no new chunk.
+TEST(SweepCoroPool, LaterSweepsReuseRetiredWorkerChunks) {
+  const std::vector<Fig6Point> points(2);
+  std::uint64_t after_first = 0;
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    // Both points run at once, one per worker, in every sweep, so each
+    // sweep's per-thread frame demand is the same.
+    std::latch both_started(2);
+    util::run_sweep(
+        points,
+        [&](const Fig6Point& p) {
+          both_started.arrive_and_wait();
+          return run_fig6_point(p);
+        },
+        2);
+    const std::uint64_t chunks = sim::coro_pool_stats().chunk_allocs;
+    if (sweep == 0) after_first = chunks;
+    EXPECT_EQ(chunks, after_first) << "sweep " << sweep;
+  }
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -157,56 +155,6 @@ TEST(ThreadPool, ShutdownIsIdempotentAndDrainsFirst) {
   pool.shutdown();  // second call is a no-op
   pool.shutdown();
   EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ParallelChunks, StableRangesForEveryThreadCount) {
-  // Chunk boundaries depend only on (n, chunks), never on thread count.
-  constexpr std::size_t kN = 103;
-  constexpr std::size_t kChunks = 7;
-  std::vector<std::pair<std::size_t, std::size_t>> reference(kChunks);
-  parallel_chunks(kN, 1, kChunks, [&](std::size_t c, std::size_t b, std::size_t e) {
-    reference[c] = {b, e};
-  });
-  // Contiguous, ordered, covering [0, n).
-  EXPECT_EQ(reference.front().first, 0u);
-  EXPECT_EQ(reference.back().second, kN);
-  for (std::size_t c = 1; c < kChunks; ++c) {
-    EXPECT_EQ(reference[c].first, reference[c - 1].second);
-    EXPECT_LT(reference[c].first, reference[c].second);  // no empty chunk
-  }
-  for (unsigned threads : {2u, 4u, 16u}) {
-    std::vector<std::pair<std::size_t, std::size_t>> got(kChunks);
-    std::mutex mu;
-    parallel_chunks(kN, threads, kChunks, [&](std::size_t c, std::size_t b, std::size_t e) {
-      std::lock_guard<std::mutex> lock(mu);
-      got[c] = {b, e};
-    });
-    EXPECT_EQ(got, reference) << "threads " << threads;
-  }
-}
-
-TEST(ParallelChunks, ClampsChunksToItems) {
-  std::atomic<int> calls{0};
-  parallel_chunks(3, 8, 10, [&](std::size_t, std::size_t b, std::size_t e) {
-    EXPECT_EQ(e, b + 1);  // 10 chunks over 3 items clamps to 3 singletons
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 3);
-  parallel_chunks(0, 4, 4, [&](std::size_t, std::size_t, std::size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 3);  // n == 0: no calls
-}
-
-TEST(ParallelChunks, RethrowsLowestChunkException) {
-  for (unsigned threads : {1u, 4u}) {
-    try {
-      parallel_chunks(16, threads, 8, [](std::size_t c, std::size_t, std::size_t) {
-        if (c == 2 || c == 6) throw std::runtime_error("chunk " + std::to_string(c));
-      });
-      FAIL() << "expected exception";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "chunk 2");
-    }
-  }
 }
 
 TEST(ParallelFor, CoversEveryIndexOnce) {
