@@ -1,7 +1,7 @@
 #include "net/ethernet.hpp"
 
 #include <algorithm>
-#include <set>
+#include <climits>
 
 namespace scsq::net {
 
@@ -24,6 +24,7 @@ FlowId EthernetFabric::open_flow(int src, int dst) {
   FlowId id = next_flow_++;
   flows_[id] = Flow{src, dst};
   hosts_[dst].inbound_flows += 1;
+  refresh_factors();
   return id;
 }
 
@@ -32,36 +33,42 @@ void EthernetFabric::close_flow(FlowId id) {
   SCSQ_CHECK(it != flows_.end()) << "close of unknown flow " << id;
   hosts_[it->second.dst].inbound_flows -= 1;
   flows_.erase(it);
+  refresh_factors();
 }
 
-int EthernetFabric::distinct_senders_to_ionodes() const {
-  std::set<int> senders;
-  for (const auto& [id, flow] : flows_) {
-    if (hosts_[flow.dst].is_ionode) senders.insert(flow.src);
+void EthernetFabric::refresh_factors() {
+  distinct_io_senders_ = 0;
+  for (int src = 0; src < host_count(); ++src) {
+    // Min/max over the destinations `src` feeds come out the same whether
+    // a destination fed by several flows is visited once or many times;
+    // only "two or more distinct destinations" needs first_dst.
+    int first_dst = -1;
+    bool multi_dst = false;
+    bool feeds_ionode = false;
+    int lo = INT_MAX, hi = 0;
+    for (const auto& [id, flow] : flows_) {
+      if (flow.src != src) continue;
+      const Host& d = hosts_[flow.dst];
+      if (first_dst < 0) {
+        first_dst = flow.dst;
+      } else if (flow.dst != first_dst) {
+        multi_dst = true;
+      }
+      lo = std::min(lo, d.inbound_flows);
+      hi = std::max(hi, d.inbound_flows);
+      if (d.is_ionode) feeds_ionode = true;
+    }
+    hosts_[src].imbalance =
+        multi_dst ? 1.0 + params_.imbalance_coeff * static_cast<double>(hi - lo) : 1.0;
+    if (feeds_ionode) ++distinct_io_senders_;
   }
-  return static_cast<int>(senders.size());
-}
-
-double EthernetFabric::sender_imbalance_factor(int src) const {
-  // Destinations this source currently feeds.
-  std::set<int> dsts;
-  for (const auto& [id, flow] : flows_) {
-    if (flow.src == src) dsts.insert(flow.dst);
-  }
-  if (dsts.size() < 2) return 1.0;
-  int lo = INT32_MAX, hi = 0;
-  for (int d : dsts) {
-    lo = std::min(lo, hosts_[d].inbound_flows);
-    hi = std::max(hi, hosts_[d].inbound_flows);
-  }
-  return 1.0 + params_.imbalance_coeff * static_cast<double>(hi - lo);
 }
 
 sim::Task<void> EthernetFabric::transfer(FlowId id, std::uint64_t bytes) {
   int src = -1;
   int dst = -1;
   {
-      auto it = flows_.find(id);
+    auto it = flows_.find(id);
     SCSQ_CHECK(it != flows_.end()) << "transfer on unknown flow " << id;
     src = it->second.src;
     dst = it->second.dst;
@@ -69,8 +76,8 @@ sim::Task<void> EthernetFabric::transfer(FlowId id, std::uint64_t bytes) {
 
   const double wire = wire_time(bytes);
   // Sender NIC: per-message overhead plus wire time, inflated by the
-  // head-of-line imbalance factor (evaluated per message so it tracks
-  // flows opening/closing during a run).
+  // head-of-line imbalance factor (kept current by open_flow/close_flow,
+  // so it tracks flows opening and closing during a run).
   const double tx_time =
       params_.per_message_overhead_s + wire * sender_imbalance_factor(src);
   co_await tx_nic(src).use(tx_time);

@@ -16,6 +16,11 @@
 //  * the global distinct-sender count is exposed so the I/O-node
 //    forwarding path (see hw::Machine) can scale its per-byte cost — one
 //    back-end sender (Query 5) streams faster than several (Query 6).
+//
+// Both factors depend only on the set of open flows, so they are
+// recomputed in open_flow/close_flow (the only events that change them)
+// and read in O(1) on the per-message path, which thus never touches
+// the flow table or the heap.
 #pragma once
 
 #include <cstdint>
@@ -70,14 +75,14 @@ class EthernetFabric {
 
   /// Number of distinct source hosts with open flows into I/O-node
   /// hosts (drives the I/O forwarding coordination factor in hw).
-  int distinct_senders_to_ionodes() const;
+  int distinct_senders_to_ionodes() const { return distinct_io_senders_; }
 
   /// Open flows into a given host.
   int flows_into(int host) const { return hosts_.at(host).inbound_flows; }
 
   /// Sender-side imbalance factor for `src` (>= 1): grows when the hosts
   /// it sends to have uneven inbound flow counts.
-  double sender_imbalance_factor(int src) const;
+  double sender_imbalance_factor(int src) const { return hosts_.at(src).imbalance; }
 
   sim::Resource& tx_nic(int host) { return *hosts_.at(host).tx; }
   sim::Resource& rx_nic(int host) { return *hosts_.at(host).rx; }
@@ -94,6 +99,7 @@ class EthernetFabric {
     std::string name;
     bool is_ionode = false;
     int inbound_flows = 0;
+    double imbalance = 1.0;  // sender_imbalance_factor, kept current
     std::unique_ptr<sim::Resource> tx;
     std::unique_ptr<sim::Resource> rx;
   };
@@ -102,11 +108,16 @@ class EthernetFabric {
     int dst = -1;
   };
 
+  /// Recomputes every host's imbalance factor and the distinct I/O
+  /// sender count from the open flows, without allocating.
+  void refresh_factors();
+
   sim::Simulator* sim_;
   EthernetParams params_;
   std::vector<Host> hosts_;
   std::map<FlowId, Flow> flows_;
   FlowId next_flow_ = 1;
+  int distinct_io_senders_ = 0;
 };
 
 }  // namespace scsq::net

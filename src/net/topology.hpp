@@ -68,28 +68,32 @@ class Torus3D {
            axis_distance(ca.z, cb.z, 2);
   }
 
-  /// Dimension-ordered route from a to b, inclusive of both endpoints.
-  /// route(a, a) == {a}.
+  /// The neighbor after `a` on the dimension-ordered route to `b`: one
+  /// step along the first axis (X, then Y, then Z) whose coordinates
+  /// differ, in the shorter wrap direction, ties toward decreasing
+  /// coordinate. next_hop(a, a) == a. Walking it from a reaches b in
+  /// exactly hop_distance(a, b) steps.
+  int next_hop(int a, int b) const {
+    const TorusCoord ca = coord_of(a), cb = coord_of(b);
+    std::array<int, 3> cur{ca.x, ca.y, ca.z};
+    const std::array<int, 3> dst{cb.x, cb.y, cb.z};
+    for (int axis = 0; axis < 3; ++axis) {
+      const int d = dims_[axis];
+      const int fwd = ((dst[axis] - cur[axis]) % d + d) % d;
+      if (fwd == 0) continue;
+      const int step = fwd < d - fwd ? 1 : -1;
+      cur[axis] = (cur[axis] + step + d) % d;
+      return rank_of({cur[0], cur[1], cur[2]});
+    }
+    return a;
+  }
+
+  /// Dimension-ordered route from a to b, inclusive of both endpoints:
+  /// the next_hop walk. route(a, a) == {a}.
   std::vector<int> route(int a, int b) const {
-    std::vector<int> path;
-    TorusCoord cur = coord_of(a);
-    TorusCoord dst = coord_of(b);
-    path.push_back(a);
-    auto walk_axis = [&](int axis, int& cur_v, int dst_v) {
-      int d = dims_[axis];
-      int fwd = ((dst_v - cur_v) % d + d) % d;
-      int bwd = d - fwd;
-      int step = (fwd < bwd) ? 1 : -1;
-      int n = std::min(fwd, bwd);
-      if (fwd == 0) n = 0;
-      for (int i = 0; i < n; ++i) {
-        cur_v = ((cur_v + step) % d + d) % d;
-        path.push_back(rank_of(cur));
-      }
-    };
-    walk_axis(0, cur.x, dst.x);
-    walk_axis(1, cur.y, dst.y);
-    walk_axis(2, cur.z, dst.z);
+    std::vector<int> path{a};
+    const int hops = hop_distance(a, b);
+    for (int i = 0; i < hops; ++i) path.push_back(next_hop(path.back(), b));
     SCSQ_CHECK(path.back() == b) << "routing error " << a << "->" << b;
     return path;
   }

@@ -121,8 +121,7 @@ void TorusNetwork::transmit_async(int from, int to, std::uint64_t payload_bytes,
 sim::Task<void> TorusNetwork::transmit_impl(int from, int to, std::uint64_t payload_bytes,
                                             std::uint64_t source_tag,
                                             sim::Event* sender_free, sim::Event* delivered) {
-  const auto route = topology_.route(from, to);
-  const int hops = static_cast<int>(route.size()) - 1;
+  const int hops = topology_.hop_distance(from, to);
   const auto npkt = packets_for(payload_bytes);
   const double cf = cache_factor(payload_bytes);
   const double wire = effective_wire_time(payload_bytes);
@@ -145,14 +144,18 @@ sim::Task<void> TorusNetwork::transmit_impl(int from, int to, std::uint64_t payl
     if (sender_free) sender_free->set();
   }
 
+  // Walk the dimension-ordered route hop by hop (no path vector).
+  int at = from;
   for (int i = 0; i < hops; ++i) {
-    co_await link(route[i], route[i + 1]).use(wire);
+    const int next = topology_.next_hop(at, to);
+    co_await link(at, next).use(wire);
     if (i == 0 && sender_free) sender_free->set();
     const bool is_intermediate = (i + 1) < hops;
     if (is_intermediate) {
       // Store-and-forward through the intermediate node's co-processor.
-      co_await coproc(route[i + 1]).use(npkt * params_.forward_per_packet_s * cf);
+      co_await coproc(next).use(npkt * params_.forward_per_packet_s * cf);
     }
+    at = next;
   }
 
   // Receive handling at the destination. With k live inbound streams,

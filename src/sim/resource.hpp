@@ -10,8 +10,8 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
@@ -52,7 +52,7 @@ class Resource {
   /// the oldest one (in_use stays constant across the hand-off).
   void release() {
     SCSQ_CHECK(in_use_ > 0) << "release of idle resource " << name_;
-    if (waiters_.empty()) {
+    if (waiters_head_ == waiters_.size()) {
       note_change();
       --in_use_;
       if (in_use_ == 0 && trace_ != nullptr) {
@@ -61,8 +61,19 @@ class Resource {
       }
       return;
     }
-    auto h = waiters_.front();
-    waiters_.pop_front();
+    auto h = waiters_[waiters_head_++];
+    if (waiters_head_ == waiters_.size()) {
+      waiters_.clear();
+      waiters_head_ = 0;
+    } else if (2 * waiters_head_ >= waiters_.size()) {
+      // Contention that never drains: drop the spent prefix once it is
+      // half the ring, so the storage stays bounded by the live waiters.
+      // The move costs at most the grants since the last drop: O(1)
+      // amortized per grant.
+      waiters_.erase(waiters_.begin(),
+                     waiters_.begin() + static_cast<std::ptrdiff_t>(waiters_head_));
+      waiters_head_ = 0;
+    }
     sim_->schedule_now(h);
   }
 
@@ -108,7 +119,7 @@ class Resource {
 
   int capacity() const { return capacity_; }
   int in_use() const { return in_use_; }
-  std::size_t queue_length() const { return waiters_.size(); }
+  std::size_t queue_length() const { return waiters_.size() - waiters_head_; }
   const std::string& name() const { return name_; }
 
   /// Integral of in_use over time divided by capacity: the mean
@@ -146,7 +157,12 @@ class Resource {
   int capacity_;
   std::string name_;
   int in_use_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  // FIFO waiters as a vector + head-index ring, like WaitQueue: a grant
+  // takes waiters_[waiters_head_++] and the storage resets (keeping its
+  // capacity) once drained, or sheds its spent prefix once that is half
+  // of it. Unlike a deque, an idle Resource owns no heap blocks.
+  std::vector<std::coroutine_handle<>> waiters_;
+  std::size_t waiters_head_ = 0;
   double busy_integral_ = 0.0;
   double last_change_ = 0.0;
   double stats_start_ = 0.0;

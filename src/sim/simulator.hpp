@@ -242,7 +242,12 @@ class Simulator {
 };
 
 /// One-shot broadcast event (like a latch): wait() suspends until set()
-/// is called; set() wakes all current and future waiters.
+/// is called; set() wakes all current and future waiters, oldest first.
+///
+/// The first waiter is held inline and only later ones go to the heap:
+/// the common event has a single waiter (a per-message MPI completion
+/// event lives in the transmitting coroutine's frame), so waiting on it
+/// allocates nothing.
 class Event {
  public:
   explicit Event(Simulator& sim) : sim_(&sim) {}
@@ -252,27 +257,37 @@ class Event {
   void set() {
     if (set_) return;
     set_ = true;
-    for (auto h : waiters_) {
-      sim_->count_wakeup();
-      sim_->schedule_now(h);
-    }
-    waiters_.clear();
+    if (first_) wake(first_);
+    for (auto h : more_) wake(h);
+    more_.clear();
   }
 
   auto wait() {
     struct Awaiter {
       Event* ev;
       bool await_ready() const noexcept { return ev->set_; }
-      void await_suspend(std::coroutine_handle<> h) { ev->waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) {
+        if (ev->first_) {
+          ev->more_.push_back(h);
+        } else {
+          ev->first_ = h;
+        }
+      }
       void await_resume() const noexcept {}
     };
     return Awaiter{this};
   }
 
  private:
+  void wake(std::coroutine_handle<> h) {
+    sim_->count_wakeup();
+    sim_->schedule_now(h);
+  }
+
   Simulator* sim_;
   bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_;
+  std::vector<std::coroutine_handle<>> more_;
 };
 
 /// Condition-variable-like wait queue used to build channels.

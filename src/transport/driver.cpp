@@ -1,7 +1,5 @@
 #include "transport/driver.hpp"
 
-#include <memory>
-
 namespace scsq::transport {
 
 void Link::start_transmit(Frame frame, std::function<void()> on_sender_free) {
@@ -74,11 +72,20 @@ sim::Task<void> Link::dst_receive(Frame) {
 
 void Link::announce_delivery(double at, Frame frame, double t0, double window_wait,
                              bool stalled) {
-  // The frame rides in a copyable closure; the shared_ptr avoids
-  // deep-copying the object payload.
-  auto carried = std::make_shared<Frame>(std::move(frame));
-  sim_->call_at(at, [this, carried, t0, window_wait, stalled] {
-    sim_->spawn(dst_run(std::move(*carried), t0, window_wait, stalled));
+  int slot = 0;
+  while (slot < kWindow && announced_[slot].used) ++slot;
+  SCSQ_CHECK(slot < kWindow) << "link '" << type_ << "': more than " << kWindow
+                             << " frames announced but undelivered";
+  Announcement& a = announced_[slot];
+  a.frame = std::move(frame);
+  a.t0 = t0;
+  a.window_wait = window_wait;
+  a.stalled = stalled;
+  a.used = true;
+  sim_->call_at(at, [this, slot] {
+    Announcement& a = announced_[slot];
+    a.used = false;
+    sim_->spawn(dst_run(std::move(a.frame), a.t0, a.window_wait, a.stalled));
   });
 }
 

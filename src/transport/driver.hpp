@@ -11,6 +11,7 @@
 // costs to the node's compute CPU.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -170,7 +171,8 @@ class Link {
   virtual sim::Task<void> dst_receive(Frame frame);
 
   /// Schedules the destination half of a split transmit at absolute time
-  /// `at` (the claimed source completion time).
+  /// `at` (the claimed source completion time). The frame waits in one of
+  /// the link's announcement slots, so the announcement allocates nothing.
   void announce_delivery(double at, Frame frame, double t0, double window_wait,
                          bool stalled);
 
@@ -212,10 +214,23 @@ class Link {
   };
   void flush_batch() const;
 
+  /// A frame announced by src_transmit but not yet handed to dst_run.
+  /// Every announced frame holds a window unit until its delivery, so at
+  /// most kWindow are outstanding; the scheduled callback carries only
+  /// the slot index, which keeps it inside std::function's local buffer.
+  struct Announcement {
+    Frame frame;
+    double t0 = 0.0;
+    double window_wait = 0.0;
+    bool stalled = false;
+    bool used = false;
+  };
+
   sim::Simulator* sim_;
   sim::Event drained_;
   sim::Resource window_;
   double credit_latency_s_;  // 0 = whole-trip schedule
+  std::array<Announcement, kWindow> announced_;
   LinkMetrics metrics_;
   mutable LinkStats stats_;
   mutable StatsBatch batch_;

@@ -34,6 +34,12 @@ inline std::uint64_t load_u64(const std::uint8_t* p) {
   }
 }
 
+// Bulk array payload copy. An empty vector's data() may be null, which
+// memcpy forbids even for a zero length.
+inline void copy_bulk(void* dst, const void* src, std::size_t n) {
+  if (n != 0) std::memcpy(dst, src, n);
+}
+
 }  // namespace
 
 std::uint64_t MarshalWriter::physical_size(const Object& obj) {
@@ -107,7 +113,7 @@ void MarshalWriter::emit(const Object& obj) {
       const auto& a = obj.as_darray();
       store_u64(p_, a.size());
       if constexpr (kLittle) {
-        std::memcpy(p_ + 8, a.data(), 8 * a.size());
+        copy_bulk(p_ + 8, a.data(), 8 * a.size());
       } else {
         for (std::size_t i = 0; i < a.size(); ++i) {
           std::uint64_t bits;
@@ -124,7 +130,7 @@ void MarshalWriter::emit(const Object& obj) {
       const auto& a = obj.as_carray();
       store_u64(p_, a.size());
       if constexpr (kLittle) {
-        std::memcpy(p_ + 8, a.data(), 16 * a.size());
+        copy_bulk(p_ + 8, a.data(), 16 * a.size());
       } else {
         for (std::size_t i = 0; i < a.size(); ++i) {
           std::uint64_t re, im;
@@ -206,7 +212,7 @@ Object MarshalReader::read() {
       const auto* p = take(8 * static_cast<std::size_t>(count));
       std::vector<double> a(static_cast<std::size_t>(count));
       if constexpr (kLittle) {
-        std::memcpy(a.data(), p, 8 * a.size());
+        copy_bulk(a.data(), p, 8 * a.size());
       } else {
         for (std::size_t i = 0; i < a.size(); ++i) {
           std::uint64_t bits = load_u64(p + 8 * i);
@@ -220,7 +226,7 @@ Object MarshalReader::read() {
       const auto* p = take(16 * static_cast<std::size_t>(count));
       std::vector<std::complex<double>> a(static_cast<std::size_t>(count));
       if constexpr (kLittle) {
-        std::memcpy(a.data(), p, 16 * a.size());
+        copy_bulk(a.data(), p, 16 * a.size());
       } else {
         for (std::size_t i = 0; i < a.size(); ++i) {
           std::uint64_t re = load_u64(p + 16 * i);
@@ -287,7 +293,7 @@ void MarshalReader::read_into(Object& out) {
       auto& a = out.as_darray();
       a.resize(static_cast<std::size_t>(count));
       if constexpr (kLittle) {
-        std::memcpy(a.data(), p, 8 * a.size());
+        copy_bulk(a.data(), p, 8 * a.size());
       } else {
         for (std::size_t j = 0; j < a.size(); ++j) {
           std::uint64_t bits = load_u64(p + 8 * j);
@@ -303,7 +309,7 @@ void MarshalReader::read_into(Object& out) {
       auto& a = out.as_carray();
       a.resize(static_cast<std::size_t>(count));
       if constexpr (kLittle) {
-        std::memcpy(a.data(), p, 16 * a.size());
+        copy_bulk(a.data(), p, 16 * a.size());
       } else {
         for (std::size_t j = 0; j < a.size(); ++j) {
           std::uint64_t re = load_u64(p + 16 * j);

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <cstdint>
+#include <set>
+#include <vector>
+
+#include "hw/cost_model.hpp"
 #include "net/ethernet.hpp"
 #include "net/topology.hpp"
 #include "net/torus_net.hpp"
@@ -97,6 +104,47 @@ TEST(Torus3D, RouteToSelfIsSingleton) {
   Torus3D t(2, 2, 2);
   auto path = t.route(3, 3);
   EXPECT_EQ(path, (std::vector<int>{3}));
+}
+
+// The next_hop walk on the shipped partitions: from every a to every b
+// it reaches b in exactly hop_distance(a, b) steps, each step moving one
+// coordinate by one position (with wraparound).
+void expect_next_hop_walks(const Torus3D& t) {
+  const int n = t.node_count();
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      const int hops = t.hop_distance(a, b);
+      int cur = a;
+      for (int step = 0; step < hops; ++step) {
+        const int next = t.next_hop(cur, b);
+        const TorusCoord c = t.coord_of(cur), d = t.coord_of(next);
+        const int delta[3] = {d.x - c.x, d.y - c.y, d.z - c.z};
+        int moved = 0;
+        for (int axis = 0; axis < 3; ++axis) {
+          if (delta[axis] == 0) continue;
+          ++moved;
+          const int dim = t.dim(axis);
+          const int wrapped = (delta[axis] + dim) % dim;
+          ASSERT_TRUE(wrapped == 1 || wrapped == dim - 1)
+              << a << "->" << b << ": step " << cur << "->" << next;
+        }
+        ASSERT_EQ(moved, 1) << a << "->" << b << ": step " << cur << "->" << next;
+        cur = next;
+      }
+      ASSERT_EQ(cur, b) << a << "->" << b << " after " << hops << " hops";
+      ASSERT_EQ(t.next_hop(b, b), b);
+    }
+  }
+}
+
+TEST(Torus3D, NextHopWalkLofarPartition) {
+  const auto c = hw::CostModel::lofar();
+  expect_next_hop_walks(Torus3D(c.torus_x, c.torus_y, c.torus_z));
+}
+
+TEST(Torus3D, NextHopWalkBlueGeneRack) {
+  const auto c = hw::CostModel::bluegene_rack();
+  expect_next_hop_walks(Torus3D(c.torus_x, c.torus_y, c.torus_z));
 }
 
 // ---------------------------------------------------------------------
@@ -329,6 +377,79 @@ TEST(Ethernet, ImbalanceFactorDetectsUnevenLoad) {
   for (int i = 0; i < 4; ++i) ios.push_back(fab.add_host("io" + std::to_string(i), true));
   for (int i = 0; i < 5; ++i) fab.open_flow(be, ios[i % 4]);
   EXPECT_DOUBLE_EQ(fab.sender_imbalance_factor(be), 1.0 + p.imbalance_coeff);
+}
+
+// From-scratch factors over the open (src, dst) flows: the per-call
+// std::set loops the fabric used before it kept the factors current.
+struct OpenFlow {
+  FlowId id;
+  int src;
+  int dst;
+};
+
+int oracle_inbound(const std::vector<OpenFlow>& flows, int host) {
+  int n = 0;
+  for (const auto& f : flows) n += f.dst == host ? 1 : 0;
+  return n;
+}
+
+int oracle_distinct_senders(const std::vector<OpenFlow>& flows, const std::vector<bool>& io) {
+  std::set<int> senders;
+  for (const auto& f : flows) {
+    if (io[static_cast<std::size_t>(f.dst)]) senders.insert(f.src);
+  }
+  return static_cast<int>(senders.size());
+}
+
+double oracle_imbalance(const std::vector<OpenFlow>& flows, int src, double coeff) {
+  std::set<int> dsts;
+  for (const auto& f : flows) {
+    if (f.src == src) dsts.insert(f.dst);
+  }
+  if (dsts.size() < 2) return 1.0;
+  int lo = INT32_MAX, hi = 0;
+  for (int d : dsts) {
+    lo = std::min(lo, oracle_inbound(flows, d));
+    hi = std::max(hi, oracle_inbound(flows, d));
+  }
+  return 1.0 + coeff * static_cast<double>(hi - lo);
+}
+
+TEST(Ethernet, CachedFactorsMatchFromScratchOracle) {
+  sim::Simulator sim;
+  EthernetParams p;
+  EthernetFabric fab(sim, p);
+  // Back-end/front-end hosts interleaved with I/O nodes.
+  std::vector<bool> io;
+  for (int h = 0; h < 9; ++h) {
+    const bool is_io = h % 3 == 1;
+    fab.add_host("h" + std::to_string(h), is_io);
+    io.push_back(is_io);
+  }
+  util::Rng rng(2024);
+  std::vector<OpenFlow> open;
+  for (int step = 0; step < 2000; ++step) {
+    if (open.empty() || rng.uniform_int(0, 9) < 6) {
+      const int src = static_cast<int>(rng.uniform_int(0, fab.host_count() - 1));
+      const int dst = static_cast<int>(rng.uniform_int(0, fab.host_count() - 1));
+      open.push_back({fab.open_flow(src, dst), src, dst});
+    } else {
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(open.size()) - 1));
+      fab.close_flow(open[k].id);
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    ASSERT_EQ(fab.distinct_senders_to_ionodes(), oracle_distinct_senders(open, io))
+        << "step " << step;
+    for (int h = 0; h < fab.host_count(); ++h) {
+      ASSERT_EQ(fab.sender_imbalance_factor(h), oracle_imbalance(open, h, p.imbalance_coeff))
+          << "step " << step << " host " << h;
+    }
+  }
+  // Drain everything: every factor returns to neutral.
+  for (const auto& f : open) fab.close_flow(f.id);
+  EXPECT_EQ(fab.distinct_senders_to_ionodes(), 0);
+  for (int h = 0; h < fab.host_count(); ++h) EXPECT_EQ(fab.sender_imbalance_factor(h), 1.0);
 }
 
 TEST(Ethernet, NicContentionSharesBandwidth) {

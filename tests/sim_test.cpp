@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -303,6 +304,71 @@ TEST(Resource, FifoGrantOrder) {
   for (int i = 0; i < 5; ++i) sim.spawn(worker(res, grant_order, i));
   sim.run();
   EXPECT_EQ(grant_order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// The waiter ring resets when it drains; a refill after the reset must
+// keep FIFO grant order and count only live waiters.
+TEST(Resource, WaiterRingDrainResetThenRefill) {
+  Simulator sim;
+  Resource res(sim, 1);
+  std::vector<int> grant_order;
+  auto holder = [](Simulator& s, Resource& r) -> Task<void> {
+    co_await r.acquire();
+    co_await s.delay(1.0);
+    r.release();
+  };
+  auto waiter = [](Simulator& s, Resource& r, std::vector<int>& order, int id) -> Task<void> {
+    co_await r.acquire();
+    order.push_back(id);
+    co_await s.delay(0.1);
+    r.release();
+  };
+  sim.spawn(holder(sim, res));
+  for (int i = 0; i < 4; ++i) sim.spawn(waiter(sim, res, grant_order, i));
+  sim.run(0.5);
+  EXPECT_EQ(res.queue_length(), 4u);
+  sim.run(1.15);  // holder released at 1.0, waiter 0 holds until 1.1
+  EXPECT_EQ(res.queue_length(), 2u);
+  sim.run();
+  EXPECT_EQ(res.queue_length(), 0u);
+  EXPECT_EQ(res.in_use(), 0);
+  EXPECT_EQ(grant_order, (std::vector<int>{0, 1, 2, 3}));
+
+  sim.spawn(holder(sim, res));
+  for (int i = 10; i < 13; ++i) sim.spawn(waiter(sim, res, grant_order, i));
+  sim.run(sim.now() + 0.5);
+  EXPECT_EQ(res.queue_length(), 3u);
+  sim.run();
+  EXPECT_EQ(res.queue_length(), 0u);
+  EXPECT_EQ(grant_order, (std::vector<int>{0, 1, 2, 3, 10, 11, 12}));
+}
+
+// Contention that never drains (each worker re-queues right after its
+// release) must still grant round-robin in arrival order while the ring
+// sheds its spent prefix.
+TEST(Resource, SustainedContentionGrantsRoundRobin) {
+  Simulator sim;
+  Resource res(sim, 1);
+  std::vector<int> grant_order;
+  std::size_t max_queue = 0;
+  auto worker = [](Simulator& s, Resource& r, std::vector<int>& order, std::size_t& max_q,
+                   int id) -> Task<void> {
+    for (int round = 0; round < 200; ++round) {
+      co_await r.acquire();
+      order.push_back(id);
+      max_q = std::max(max_q, r.queue_length());
+      co_await s.delay(1.0);
+      r.release();
+    }
+  };
+  for (int i = 0; i < 3; ++i) sim.spawn(worker(sim, res, grant_order, max_queue, i));
+  sim.run();
+  ASSERT_EQ(grant_order.size(), 600u);
+  for (std::size_t i = 0; i < grant_order.size(); ++i) {
+    ASSERT_EQ(grant_order[i], static_cast<int>(i % 3)) << "grant " << i;
+  }
+  EXPECT_EQ(max_queue, 2u);
+  EXPECT_EQ(res.queue_length(), 0u);
 }
 
 TEST(Resource, UtilizationTracksBusyTime) {

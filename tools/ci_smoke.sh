@@ -230,6 +230,24 @@ else
   echo "== skipping ASAN pass (toolchain lacks AddressSanitizer) =="
 fi
 
+# UBSAN pass over the marshal/transport data plane, the network models
+# and the per-frame allocation test; SCSQ_UBSAN builds with
+# -fno-sanitize-recover, so the first report fails the run. Skipped when
+# the toolchain cannot link a trivial -fsanitize=undefined program (e.g.
+# libubsan not installed).
+if echo 'int main(){}' | c++ -x c++ -fsanitize=undefined -o /dev/null - 2> /dev/null; then
+  echo "== transport/properties/net/alloc tests under UndefinedBehaviorSanitizer =="
+  cmake -B "$BUILD-ubsan" -S . -DSCSQ_UBSAN=ON > /dev/null
+  cmake --build "$BUILD-ubsan" -j"$(nproc)" \
+    --target transport_test properties_test net_test alloc_test > /dev/null
+  "$BUILD-ubsan/tests/transport_test"
+  "$BUILD-ubsan/tests/properties_test"
+  "$BUILD-ubsan/tests/net_test"
+  "$BUILD-ubsan/tests/alloc_test"
+else
+  echo "== skipping UBSAN pass (toolchain lacks UndefinedBehaviorSanitizer) =="
+fi
+
 # Bench baseline self-check: committed "new" numbers must not regress
 # more than 20% against their recorded seeds.
 "$BUILD/tools/metrics_diff" --check BENCH_kernels.json
