@@ -6,9 +6,15 @@
 // words drawn from a fixed dictionary, so a given (filename, pattern)
 // always yields the same matches on every run and node — which the grep
 // example's correctness test relies on.
+//
+// The corpus has one line generator (textgen.cpp): file_lines,
+// grep_file and the grep operators' one-pass scan_file all draw their
+// lines from it, so every reader sees the same words in the same order.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace scsq::funcs {
@@ -26,7 +32,19 @@ std::vector<std::string> file_lines(const std::string& filename,
                                     const TextGenOptions& options = {});
 
 /// Lines of `filename` containing `pattern` (plain substring match).
-std::vector<std::string> grep_file(const std::string& pattern, const std::string& filename,
+std::vector<std::string> grep_file(std::string_view pattern, const std::string& filename,
                                    const TextGenOptions& options = {});
+
+/// One grep pass: the bytes scanned (the summed size of every line, what
+/// the scan is charged for) and the matching lines in file order.
+struct GrepScan {
+  std::uint64_t scanned_bytes = 0;
+  std::vector<std::string> matches;
+};
+
+/// Generates `filename` once and greps it. Allocates the line buffer,
+/// the match list and one string per match — nothing per scanned line.
+GrepScan scan_file(std::string_view pattern, const std::string& filename,
+                   const TextGenOptions& options = {});
 
 }  // namespace scsq::funcs

@@ -13,16 +13,29 @@
 // upper_bound over a small fixed bucket array (Histogram). Nothing in
 // the registry allocates or hashes on the per-frame path.
 //
+// Statement-path discipline: resolving a series that already exists
+// allocates nothing — the lookup hashes the name and labels in place and
+// builds no key string. Creating one stores its name once per registry,
+// shares one stored Labels with the series created just before it when
+// the labels are equal (an RP's ten engine.rp.* gauges, a link's five
+// transport.link.* series) and keeps the instrument inline in
+// address-stable storage, so a new series costs about one block,
+// amortized.
+//
 // Threading: a Registry belongs to one Simulator and inherits its
 // single-threaded discipline. Distinct Registries (one per sweep point)
 // are independent and may live on different worker threads.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <iosfwd>
-#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "util/logging.hpp"
@@ -34,6 +47,8 @@ namespace scsq::obs {
 struct Label {
   std::string key;
   std::string value;
+
+  bool operator==(const Label&) const = default;
 };
 
 using Labels = std::vector<Label>;
@@ -41,7 +56,7 @@ using Labels = std::vector<Label>;
 /// Canonical registry key: `name` alone, or `name{k=v,...}` with labels
 /// in registration order. This is the key every exporter and the
 /// time-series sampler use, exposed so tools can reconstruct it.
-std::string metric_key(const std::string& name, const Labels& labels);
+std::string metric_key(std::string_view name, const Labels& labels);
 
 /// Monotonic counter (events, bytes, frames...).
 class Counter {
@@ -107,14 +122,15 @@ class Registry {
   /// Finds or creates a metric. The returned reference is stable for the
   /// lifetime of the Registry; instruments cache it and never look up
   /// again. Re-registering the same name+labels returns the same
-  /// instance; re-registering under a different metric kind aborts
-  /// (programmer error).
-  Counter& counter(const std::string& name, const Labels& labels = {});
-  Gauge& gauge(const std::string& name, const Labels& labels = {});
-  Histogram& histogram(const std::string& name, const Labels& labels,
-                       std::vector<double> bounds);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds) {
-    return histogram(name, {}, std::move(bounds));
+  /// instance (a histogram keeps its first bounds) without allocating;
+  /// re-registering under a different metric kind aborts (programmer
+  /// error).
+  Counter& counter(std::string_view name, const Labels& labels = {});
+  Gauge& gauge(std::string_view name, const Labels& labels = {});
+  Histogram& histogram(std::string_view name, const Labels& labels,
+                       const std::vector<double>& bounds);
+  Histogram& histogram(std::string_view name, const std::vector<double>& bounds) {
+    return histogram(name, {}, bounds);
   }
 
   std::size_t size() const { return entries_.size(); }
@@ -136,12 +152,12 @@ class Registry {
 
   /// Sum of every counter whose name equals `name` across all label
   /// sets (tests/diagnostics).
-  std::uint64_t counter_total(const std::string& name) const;
+  std::uint64_t counter_total(std::string_view name) const;
 
   /// Attaches Prometheus `# HELP` text to a metric name (all label sets
   /// share it). Without one the exporter falls back to the dotted
   /// registry name, which at least survives the dot->underscore mangle.
-  void set_help(const std::string& name, std::string help);
+  void set_help(std::string_view name, std::string help);
 
   /// Prometheus-style text exposition: one `name{labels} value` line per
   /// metric, histograms as _bucket/_sum/_count series with cumulative
@@ -163,25 +179,39 @@ class Registry {
   std::string json() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  // Per metric name, stored once: the series share it by pointer.
+  struct NameInfo {
+    std::uint32_t id;                 // dense, in first-registration order
+    std::optional<std::string> help;  // set_help text, if any
+  };
+  // Heterogeneous lookup: find a name by string_view without a copy.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  using NameTable = std::unordered_map<std::string, NameInfo, NameHash, std::equal_to<>>;
 
   struct Entry {
-    std::string name;
-    Labels labels;
-    Kind kind;
-    // Exactly one is non-null, matching `kind`. unique_ptr keeps the
-    // handle addresses stable across entries_ growth.
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
+    const NameTable::value_type* name;  // names_ node: stable
+    const Labels* labels;               // labels_ element or kNoLabels
+    std::size_t hash;                   // series_hash(name, labels)
+    std::variant<Counter, Gauge, Histogram> instrument;
   };
 
-  Entry& find_or_create(const std::string& name, const Labels& labels, Kind kind);
-  void write_prometheus_entry(std::ostream& os, const Entry& e) const;
+  template <class T, class... Args>
+  T& resolve(std::string_view name, const Labels& labels, const Args&... args);
+  std::uint32_t& slot_for(std::size_t hash, std::string_view name, const Labels& labels);
+  void grow_slots();
+  NameTable::value_type& intern_name(std::string_view name);
+  void write_prometheus_entry(std::ostream& os, const std::string& name,
+                              const Entry& e) const;
 
-  std::vector<Entry> entries_;                     // registration order
-  std::unordered_map<std::string, std::size_t> index_;  // key -> entries_ slot
-  std::unordered_map<std::string, std::string> help_;   // metric name -> HELP text
+  std::deque<Entry> entries_;         // registration order; stable addresses
+  std::deque<Labels> labels_;         // stored label sets, shared by runs of series
+  NameTable names_;                   // metric name -> id + HELP text
+  std::vector<std::uint32_t> slots_;  // open-addressing index: entries_ slot + 1, 0 = empty
 };
 
 }  // namespace scsq::obs

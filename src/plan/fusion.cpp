@@ -1,6 +1,5 @@
 #include "plan/fusion.hpp"
 
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -141,21 +140,16 @@ class FusedPipelineOp final : public Operator {
       case SourceKind::kGrep: {
         if (!scanned_) {
           scanned_ = true;
-          std::uint64_t scanned_bytes = 0;
-          auto lines = funcs::file_lines(spec_.grep_file);
-          for (auto& line : lines) scanned_bytes += line.size();
-          co_await ctx_->cpu->use(op_costs::grep_scan(ctx_->node, scanned_bytes));
-          for (auto& line : funcs::grep_file(spec_.grep_pattern, spec_.grep_file)) {
-            matches_.push_back(std::move(line));
-          }
+          auto result = funcs::scan_file(spec_.grep_pattern, spec_.grep_file);
+          matches_ = std::move(result.matches);
+          co_await ctx_->cpu->use(op_costs::grep_scan(ctx_->node, result.scanned_bytes));
         }
         std::size_t n = 0;
-        while (n < max && !matches_.empty()) {
-          raw.push(Object{std::move(matches_.front())});
-          matches_.pop_front();
+        while (n < max && next_match_ < matches_.size()) {
+          raw.push(Object{std::move(matches_[next_match_++])});
           ++n;
         }
-        if (matches_.empty()) raw.mark_eos();
+        if (next_match_ == matches_.size()) raw.mark_eos();
         co_return;
       }
     }
@@ -239,7 +233,8 @@ class FusedPipelineOp final : public Operator {
   std::int64_t produced_ = 0;   // kGen
   std::size_t bag_index_ = 0;   // kBag
   bool scanned_ = false;        // kGrep
-  std::deque<std::string> matches_;
+  std::vector<std::string> matches_;
+  std::size_t next_match_ = 0;
   // Terminal accumulators.
   std::int64_t count_ = 0;
   std::int64_t int_sum_ = 0;

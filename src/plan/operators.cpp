@@ -252,22 +252,16 @@ GrepOp::GrepOp(PlanContext& ctx, std::string pattern, std::string filename)
 
 sim::Task<void> GrepOp::scan() {
   scanned_ = true;
-  std::uint64_t scanned_bytes = 0;
-  auto lines = funcs::file_lines(filename_);
-  for (auto& line : lines) scanned_bytes += line.size();
+  auto result = funcs::scan_file(pattern_, filename_);
+  matches_ = std::move(result.matches);
   // Scanning cost: one pass over the file content.
-  co_await ctx_->cpu->use(op_costs::grep_scan(ctx_->node, scanned_bytes));
-  for (auto& line : funcs::grep_file(pattern_, filename_)) {
-    matches_.push_back(std::move(line));
-  }
+  co_await ctx_->cpu->use(op_costs::grep_scan(ctx_->node, result.scanned_bytes));
 }
 
 sim::Task<std::optional<Object>> GrepOp::next() {
   if (!scanned_) co_await scan();
-  if (matches_.empty()) co_return std::nullopt;
-  auto line = std::move(matches_.front());
-  matches_.pop_front();
-  co_return std::optional<Object>(Object{std::move(line)});
+  if (next_match_ == matches_.size()) co_return std::nullopt;
+  co_return std::optional<Object>(Object{std::move(matches_[next_match_++])});
 }
 
 sim::Task<void> GrepOp::next_batch(ItemBatch& out, std::size_t max) {
@@ -275,12 +269,11 @@ sim::Task<void> GrepOp::next_batch(ItemBatch& out, std::size_t max) {
   // Matches emit for free (the one scan charge covered them), so the
   // whole result set can stream out in batches with no timing effect.
   std::size_t n = 0;
-  while (n < max && !matches_.empty()) {
-    out.push(Object{std::move(matches_.front())});
-    matches_.pop_front();
+  while (n < max && next_match_ < matches_.size()) {
+    out.push(Object{std::move(matches_[next_match_++])});
     ++n;
   }
-  if (matches_.empty()) out.mark_eos();
+  if (next_match_ == matches_.size()) out.mark_eos();
   if (n > 0) count_batch(n);
 }
 

@@ -178,7 +178,8 @@ class GrepOp final : public Operator {
   std::string pattern_;
   std::string filename_;
   bool scanned_ = false;
-  std::deque<std::string> matches_;
+  std::vector<std::string> matches_;
+  std::size_t next_match_ = 0;  // matches_[next_match_..] are still to emit
 };
 
 /// receiver(name): source of real signal arrays from a registered

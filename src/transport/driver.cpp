@@ -1,6 +1,16 @@
 #include "transport/driver.hpp"
 
 namespace scsq::transport {
+namespace {
+
+// params.factor(bytes), with the full-buffer value the driver computed
+// once standing in for full frames — most of a stream — so only short
+// frames (linger flushes, stream tails) pay the cache-factor function.
+double frame_factor(const DriverParams& params, double buffer_factor, std::uint64_t bytes) {
+  return bytes == params.buffer_bytes ? buffer_factor : params.factor(bytes);
+}
+
+}  // namespace
 
 void Link::start_transmit(Frame frame, std::function<void()> on_sender_free) {
   if (split()) {
@@ -135,6 +145,7 @@ SenderDriver::SenderDriver(sim::Simulator& sim, DriverParams params, sim::Resour
                            std::unique_ptr<Link> link, std::uint64_t producer_tag)
     : sim_(&sim),
       params_(params),
+      buffer_factor_(params.factor(params.buffer_bytes)),
       cpu_(&cpu),
       link_(std::move(link)),
       tag_(producer_tag),
@@ -220,8 +231,9 @@ sim::Task<void> SenderDriver::drain() {
     const double wait_start = sim_->now();
     co_await slots_.acquire();
     stall_seconds_ += sim_->now() - wait_start;
-    const double marshal_cost = static_cast<double>(frame->bytes) *
-                                params_.marshal_per_byte_s * params_.factor(frame->bytes);
+    const double marshal_cost =
+        static_cast<double>(frame->bytes) * params_.marshal_per_byte_s *
+        frame_factor(params_, buffer_factor_, frame->bytes);
     marshal_seconds_ += marshal_cost;
     co_await cpu_->use(marshal_cost);
     link_->start_transmit(std::move(*frame), [this] { slots_.release(); });
@@ -231,8 +243,15 @@ sim::Task<void> SenderDriver::drain() {
 ReceiverDriver::ReceiverDriver(sim::Simulator& sim, DriverParams params, sim::Resource& cpu)
     : sim_(&sim),
       params_(params),
+      buffer_factor_(params.factor(params.buffer_bytes)),
       cpu_(&cpu),
       inbox_(sim, static_cast<std::size_t>(std::max(params.recv_buffers, 1))) {}
+
+double ReceiverDriver::demarshal_cost(const Frame& frame) const {
+  return static_cast<double>(frame.bytes) * params_.marshal_per_byte_s *
+             frame_factor(params_, buffer_factor_, frame.bytes) +
+         static_cast<double>(frame.objects.size()) * params_.alloc_per_object_s;
+}
 
 sim::Task<std::optional<catalog::Object>> ReceiverDriver::next() {
   while (ready_head_ == ready_.size()) {
@@ -245,10 +264,7 @@ sim::Task<std::optional<catalog::Object>> ReceiverDriver::next() {
       co_return std::nullopt;
     }
     bytes_ += frame->bytes;
-    const double cost =
-        static_cast<double>(frame->bytes) * params_.marshal_per_byte_s *
-            params_.factor(frame->bytes) +
-        static_cast<double>(frame->objects.size()) * params_.alloc_per_object_s;
+    const double cost = demarshal_cost(*frame);
     demarshal_seconds_ += cost;
     co_await cpu_->use(cost);
     // ready_ is fully drained here: take the frame's object vector
@@ -298,10 +314,7 @@ sim::Task<std::size_t> ReceiverDriver::next_batch(catalog::ItemBatch& out,
       break;
     }
     bytes_ += frame->bytes;
-    const double cost =
-        static_cast<double>(frame->bytes) * params_.marshal_per_byte_s *
-            params_.factor(frame->bytes) +
-        static_cast<double>(frame->objects.size()) * params_.alloc_per_object_s;
+    const double cost = demarshal_cost(*frame);
     demarshal_seconds_ += cost;
     co_await cpu_->use(cost);
     ready_.clear();

@@ -279,6 +279,7 @@ class SenderDriver {
 
   sim::Simulator* sim_;
   DriverParams params_;
+  double buffer_factor_;  // params_.factor(params_.buffer_bytes), evaluated once
   sim::Resource* cpu_;
   std::unique_ptr<Link> link_;
   std::uint64_t tag_;
@@ -331,8 +332,12 @@ class ReceiverDriver {
   double demarshal_seconds() const { return demarshal_seconds_; }
 
  private:
+  /// De-marshal + allocation CPU cost of one received frame.
+  double demarshal_cost(const Frame& frame) const;
+
   sim::Simulator* sim_;
   DriverParams params_;
+  double buffer_factor_;  // params_.factor(params_.buffer_bytes), evaluated once
   sim::Resource* cpu_;
   sim::Channel<Frame> inbox_;
   // Materialized objects not yet handed to the operators. Vector + head

@@ -233,8 +233,9 @@ void attach_metrics(Link& link, hw::Machine& machine, const char* type,
   m.stall_seconds = &registry.gauge("transport.link.stall_s", labels);
   // 1 µs … ~4 s in factor-4 steps: spans a local hand-off up to a badly
   // backpressured cross-cluster frame.
-  m.frame_latency = &registry.histogram("transport.link.frame_latency_s", labels,
-                                        obs::Histogram::exp_buckets(1e-6, 4.0, 12));
+  static const std::vector<double> kLatencyBounds = obs::Histogram::exp_buckets(1e-6, 4.0, 12);
+  m.frame_latency =
+      &registry.histogram("transport.link.frame_latency_s", labels, kLatencyBounds);
   link.set_metrics(m);
 }
 

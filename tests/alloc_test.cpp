@@ -9,6 +9,10 @@
 // TCP links exercise the EthernetFabric factor reads and the split
 // schedule's delivery announcements; the MPI link the torus route walk
 // and its per-message completion events.
+//
+// The same counter bounds the statement path: re-resolving an existing
+// registry series allocates nothing, creating one costs about a block,
+// and one grep scan allocates its matches plus a few buffers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +21,9 @@
 #include <ostream>
 #include <string>
 
+#include "funcs/textgen.hpp"
 #include "hw/machine.hpp"
+#include "obs/metrics.hpp"
 #include "sim/channel.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -141,6 +147,70 @@ INSTANTIATE_TEST_SUITE_P(
                       LinkCase{"tcp", {"be", 0}, {"fe", 0}},
                       LinkCase{"mpi", {"bg", 1}, {"bg", 0}}),
     [](const ::testing::TestParamInfo<LinkCase>& info) { return std::string(info.param.type); });
+
+TEST(RegistryAllocs, ResolvingAnExistingSeriesAllocatesNothing) {
+  obs::Registry registry;
+  const obs::Labels labels{{"type", "tcp_to_bg"},
+                           {"src", "backend_cluster:0"},
+                           {"dst", "bluegene_partition:3"}};
+  const std::vector<double> bounds = obs::Histogram::exp_buckets(1e-6, 4.0, 12);
+  obs::Counter* counter = &registry.counter("transport.link.frames", labels);
+  obs::Gauge* gauge = &registry.gauge("transport.link.stall_s", labels);
+  obs::Histogram* histogram =
+      &registry.histogram("transport.link.frame_latency_s", labels, bounds);
+  obs::Gauge* unlabeled = &registry.gauge("engine.setup_s");
+
+  const std::uint64_t before = g_allocs;
+  const bool same = &registry.counter("transport.link.frames", labels) == counter &&
+                    &registry.gauge("transport.link.stall_s", labels) == gauge &&
+                    &registry.histogram("transport.link.frame_latency_s", labels, bounds) ==
+                        histogram &&
+                    &registry.gauge("engine.setup_s") == unlabeled;
+  const std::uint64_t allocs = g_allocs - before;
+  EXPECT_TRUE(same);
+  EXPECT_EQ(allocs, 0u) << "re-resolving four existing series";
+  EXPECT_EQ(registry.size(), 4u);
+}
+
+// A link's five series share one label set: creating them for many
+// links costs at most one block per series, amortized (labels stored
+// once per link, histogram buckets, index and storage growth).
+TEST(RegistryAllocs, CreatingASeriesCostsAboutOneBlock) {
+  obs::Registry registry;
+  const std::vector<double> bounds = obs::Histogram::exp_buckets(1e-6, 4.0, 12);
+  constexpr int kLinks = 200;
+  std::vector<obs::Labels> labels;
+  for (int i = 0; i < kLinks; ++i) {
+    labels.push_back({{"type", "tcp"}, {"src", "be:" + std::to_string(i)}, {"dst", "fe:0"}});
+  }
+  const std::uint64_t before = g_allocs;
+  for (const auto& l : labels) {
+    registry.counter("transport.link.frames", l);
+    registry.counter("transport.link.bytes", l);
+    registry.counter("transport.link.stalls", l);
+    registry.gauge("transport.link.stall_s", l);
+    registry.histogram("transport.link.frame_latency_s", l, bounds);
+  }
+  const std::uint64_t allocs = g_allocs - before;
+  ASSERT_EQ(registry.size(), 5u * kLinks);
+  EXPECT_LE(allocs, registry.size()) << static_cast<double>(allocs) / registry.size()
+                                     << " allocations per series";
+}
+
+// One grep scan generates the file once: the line buffer, the match list
+// and one string per matching line — nothing per scanned line.
+TEST(GrepAllocs, OneScanAllocatesItsMatchesAndAFewBuffers) {
+  for (const char* pattern : {"pulsar", "ea"}) {
+    for (std::int64_t i = 1; i <= 50; ++i) {
+      const std::string file = funcs::filename_for(i);
+      const std::uint64_t before = g_allocs;
+      const funcs::GrepScan scan = funcs::scan_file(pattern, file);
+      const std::uint64_t allocs = g_allocs - before;
+      EXPECT_LE(allocs, scan.matches.size() + 4)
+          << file << " '" << pattern << "': " << scan.matches.size() << " matches";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace scsq

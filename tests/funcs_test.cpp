@@ -142,5 +142,47 @@ TEST(TextGen, GrepNoMatches) {
   EXPECT_TRUE(grep_file("zebra", "lofar_obs_1.log").empty());
 }
 
+// The grep query's 50 files, byte for byte: a digest of every line
+// pins the generator's draw sequence, so every reader of the corpus
+// (file_lines, grep_file, scan_file) keeps producing the same text.
+TEST(TextGen, CorpusOfTheGrepQueryIsPinned) {
+  std::uint64_t hash = 1469598103934665603ull;
+  std::uint64_t bytes = 0;
+  for (std::int64_t i = 1; i <= 50; ++i) {
+    for (const auto& line : file_lines(filename_for(i))) {
+      for (const unsigned char c : line + '\n') {
+        hash ^= c;
+        hash *= 1099511628211ull;
+      }
+      bytes += line.size();
+    }
+  }
+  EXPECT_EQ(bytes, 153007u);
+  EXPECT_EQ(hash, 0x282ab92171282971ull);
+  EXPECT_EQ(file_lines("lofar_obs_1.log").front(), "radio epoch sky sky fft flux noise cluster");
+}
+
+// The one-pass scan the grep operators run agrees with the two readers
+// it replaced: its byte count is the summed size of file_lines, and its
+// matches are grep_file's (and a plain filter of file_lines) in order.
+TEST(TextGen, ScanFileMatchesTheTwoPassReaders) {
+  for (const char* pattern : {"pulsar", "ea"}) {
+    for (std::int64_t i = 1; i <= 50; ++i) {
+      const std::string file = filename_for(i);
+      const auto lines = file_lines(file);
+      std::uint64_t bytes = 0;
+      std::vector<std::string> filtered;
+      for (const auto& line : lines) {
+        bytes += line.size();
+        if (util::contains(line, pattern)) filtered.push_back(line);
+      }
+      const GrepScan scan = scan_file(pattern, file);
+      EXPECT_EQ(scan.scanned_bytes, bytes) << file;
+      EXPECT_EQ(scan.matches, grep_file(pattern, file)) << file << " " << pattern;
+      EXPECT_EQ(scan.matches, filtered) << file << " " << pattern;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace scsq::funcs

@@ -185,6 +185,28 @@ cmp "$TMPD/fig8_batchdef.txt" "$TMPD/fig8_heap.txt" || {
   echo "SCSQ_EVENT_QUEUE changed fig8 bench output"; exit 1; }
 echo "   fig6/fig8 tables byte-identical heap vs ladder"
 
+# Benchmark smoke: perfbench builds its own tree from src/ and drives the
+# library only through public entry points (EntryView, funcs::file_lines,
+# ...), so an API change that breaks it shows here, not at benchmark
+# time. One second per workload; the last stdout line must report every
+# result correct and no failed statement. perfbench refuses to start
+# with any SCSQ_* variable set, so it runs with them unset.
+echo "== perfbench paper_script + fig15_inbound (1 s each) =="
+for w in paper_script fig15_inbound; do
+  (
+    for v in $(compgen -e | grep '^SCSQ_' || true); do unset "$v"; done
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0
+  ) > "$TMPD/perfbench_$w.out" 2> "$TMPD/perfbench_$w.err" || {
+    cat "$TMPD/perfbench_$w.err"; echo "perfbench $w failed"; exit 1; }
+  tail -n 1 "$TMPD/perfbench_$w.out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("perfbench %s: correct=%s failed=%s" % (sys.argv[1], r.get("correct"), r.get("failed")))
+' "$w"
+  echo "   $w: correct, 0 failed"
+done
+
 # TSAN pass over the code that shares state across sweep worker threads:
 # the coroutine-frame pool's chunk registry (donated free lists, see
 # sim/task.hpp), the differential queue fuzz, and the monitor alert
@@ -207,12 +229,16 @@ fi
 # recycle and buffer overruns. Skipped when the toolchain cannot link
 # a trivial -fsanitize=address program (e.g. libasan not installed).
 if echo 'int main(){}' | c++ -x c++ -fsanitize=address -o /dev/null - 2> /dev/null; then
-  echo "== transport_test + batch pipeline under AddressSanitizer =="
+  echo "== transport, batch pipeline and registry tests under AddressSanitizer =="
   cmake -B "$BUILD-asan" -S . -DSCSQ_ASAN=ON > /dev/null
   cmake --build "$BUILD-asan" -j"$(nproc)" \
     --target transport_test monitor_test bench_kernels \
-    sim_queue_fuzz_test properties_test > /dev/null
+    sim_queue_fuzz_test properties_test obs_test golden_metrics_test > /dev/null
   "$BUILD-asan/tests/transport_test"
+  # The metrics registry hands out pointers into its entry, name and
+  # label stores; run its tests and the golden exports under ASAN.
+  "$BUILD-asan/tests/obs_test"
+  (cd "$BUILD-asan/tests" && ./golden_metrics_test)
   # Ladder-queue differential fuzz + the zero-alloc frame-pool property
   # under ASAN/LSAN: rung/bottom recycling and coroutine-frame reuse must
   # be clean (no use-after-recycle, no leaked chunks at exit).
